@@ -12,10 +12,10 @@ profiling, correlation attacks, success-rate curves).
 Modules
 -------
 asm
-    Assembly front end: parser, printer, label resolution, dialect
-    adapters.
+    Assembly front end: the instruction-set table every interpreter and
+    the verifier run, parser, printer, label resolution, dialect adapters.
 machine
-    Concrete interpreter with a per-cycle transition event log.
+    Concrete reference interpreter with a per-cycle transition event log.
 vector_machine
     Batched interpreter running thousands of inputs in lockstep.
 dpl

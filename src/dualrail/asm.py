@@ -18,15 +18,51 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
-OPCODE0 = frozenset({"nop"})
-BRANCH1 = frozenset({"jmp"})
-OPCODE2 = frozenset({"not", "mov"})
-OPCODE3 = frozenset({"and", "orr", "xor", "lsl", "lsr", "add", "mul"})
-BRANCH3 = frozenset({"beq", "bne"})
-OPCODES = OPCODE0 | BRANCH1 | OPCODE2 | OPCODE3 | BRANCH3
+#: operand count of each instruction kind
+_ARITY = {"nop": 0, "jump": 1, "unary": 2, "binary": 3, "branch": 3}
 
-LOGICAL_OPS = frozenset({"and", "orr", "xor"})
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Semantics of one opcode.
+
+    ``kind`` fixes the operand shape: ``unary``/``binary`` write their
+    first operand from the others, ``branch`` compares two operands and
+    jumps to a target, ``jump`` only jumps.  ``fn(*values, mask)`` is the
+    result (or the branch condition).  It must give the same answer on
+    Python ints and, lane by lane, on numpy uint8 arrays: every interpreter
+    and the verifier call it unchanged.
+    """
+
+    kind: str
+    fn: Callable | None = None
+
+    @property
+    def arity(self) -> int:
+        return _ARITY[self.kind]
+
+
+#: the instruction set: the only definition of each opcode's semantics
+OPS = {
+    "nop": OpSpec("nop"),
+    "jmp": OpSpec("jump"),
+    "mov": OpSpec("unary", lambda a, m: a),
+    "not": OpSpec("unary", lambda a, m: ~a & m),
+    "and": OpSpec("binary", lambda a, b, m: a & b),
+    "orr": OpSpec("binary", lambda a, b, m: a | b),
+    "xor": OpSpec("binary", lambda a, b, m: a ^ b),
+    "lsl": OpSpec("binary", lambda a, b, m: (a << b) & m),
+    "lsr": OpSpec("binary", lambda a, b, m: a >> b),
+    "add": OpSpec("binary", lambda a, b, m: (a + b) & m),
+    "mul": OpSpec("binary", lambda a, b, m: (a * b) & m),
+    "beq": OpSpec("branch", lambda a, b, m: a == b),
+    "bne": OpSpec("branch", lambda a, b, m: a != b),
+}
+
+#: the logical gates the dual-rail transform expands, in table-slot order
+LOGICAL_OPS = ("and", "orr", "xor")
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0[bB][01]+|[0-9]+)")
@@ -249,48 +285,29 @@ def _parse_target(tok: str, line: int, col: int) -> AddressRef:
     raise ParseError(f"bad branch target {tok!r}", line, col)
 
 
-def _check_lval(op: Operand, opcode: str, line: int, col: int) -> None:
-    if isinstance(op, Immediate):
-        raise ParseError(f"destination of {opcode} cannot be an immediate", line, col)
-
-
 def _parse_instruction(text: str, line: int, col: int) -> Instruction:
     toks = text.split()
     opcode, args = toks[0], toks[1:]
-    if opcode not in OPCODES:
+    spec = OPS.get(opcode)
+    if spec is None:
         raise ParseError(f"unknown opcode {opcode!r}", line, col)
-
-    def need(n):
-        if len(args) != n:
-            raise ParseError(f"{opcode} takes {n} operand(s), got {len(args)}", line, col)
-
-    if opcode in OPCODE0:
-        need(0)
-        return Instruction(opcode, ())
-    if opcode in BRANCH1:
-        need(1)
+    if len(args) != spec.arity:
+        raise ParseError(f"{opcode} takes {spec.arity} operand(s), got {len(args)}", line, col)
+    if spec.kind == "jump":
         return Instruction(opcode, (_parse_target(args[0], line, col),))
-    if opcode in OPCODE2:
-        need(2)
-        dest = _parse_operand(args[0], line, col)
-        _check_lval(dest, opcode, line, col)
-        return Instruction(opcode, (dest, _parse_operand(args[1], line, col)))
-    if opcode in OPCODE3:
-        need(3)
-        dest = _parse_operand(args[0], line, col)
-        _check_lval(dest, opcode, line, col)
+    if spec.kind == "branch":
         return Instruction(
-            opcode, (dest, _parse_operand(args[1], line, col), _parse_operand(args[2], line, col))
+            opcode,
+            (
+                _parse_operand(args[0], line, col),
+                _parse_operand(args[1], line, col),
+                _parse_target(args[2], line, col),
+            ),
         )
-    need(3)  # beq/bne
-    return Instruction(
-        opcode,
-        (
-            _parse_operand(args[0], line, col),
-            _parse_operand(args[1], line, col),
-            _parse_target(args[2], line, col),
-        ),
-    )
+    ops = tuple(_parse_operand(a, line, col) for a in args)
+    if ops and isinstance(ops[0], Immediate):
+        raise ParseError(f"destination of {opcode} cannot be an immediate", line, col)
+    return Instruction(opcode, ops)
 
 
 def parse(source: str) -> Program:

@@ -33,7 +33,6 @@ from .dpl import DplConfig, TransformError, transform
 from .equivalence import DplStateMap, check
 from .lab import (
     DEFAULT_NOISE_SIGMA,
-    LabError,
     LeakModel,
     cpa_monobit,
     load_traces,
@@ -54,7 +53,7 @@ from .present import (
     loop_iteration_window,
 )
 from .vector_machine import NonConstantTimeError
-from .verifier import SensitiveBranchError, verify
+from .verifier import VerifierError, verify
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -62,6 +61,10 @@ EXIT_TRANSFORM = 2
 EXIT_LEAKY = 3
 EXIT_SIMULATE = 4
 EXIT_EQUIVALENCE = 5
+
+#: library errors that the lab and equiv commands report as a failed run
+#: (LabError is a ValueError)
+_RUN_ERRORS = (OSError, ValueError, MachineError, NonConstantTimeError)
 
 #: fixed key used by lab commands when none is given, so examples are
 #: reproducible end to end
@@ -192,6 +195,17 @@ def _parse_weights(text):
     return weights
 
 
+def _parse_lo_hi(text, choices=""):
+    """Absolute 'LO:HI' bounds, HI exclusive; choices names the other
+    accepted spellings, for the error message."""
+    try:
+        lo_s, _, hi_s = text.partition(":")
+        return (int(lo_s), int(hi_s))
+    except ValueError as exc:
+        raise CliError("lab", f"bad window {text!r}: use {choices}LO:HI",
+                       EXIT_SIMULATE) from exc
+
+
 def _parse_window(text, linked):
     """'full', 'round', 'sbox', or absolute 'LO:HI' cycle bounds."""
     if text in (None, "full"):
@@ -200,12 +214,7 @@ def _parse_window(text, linked):
         return loop_iteration_window(linked, LABEL_ROUND)
     if text == "sbox":
         return loop_iteration_window(linked, LABEL_SBOX)
-    try:
-        lo_s, _, hi_s = text.partition(":")
-        return (int(lo_s), int(hi_s))
-    except ValueError as exc:
-        raise CliError("lab", f"bad window {text!r}: use full, round, sbox or LO:HI",
-                       EXIT_SIMULATE) from exc
+    return _parse_lo_hi(text, "full, round, sbox or ")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +283,7 @@ def _stage_verify(program, args, report: dict) -> None:
     linked = _resolve(program, args, "verify", EXIT_LEAKY)
     try:
         br = verify(linked, cfg=cfg)
-    except SensitiveBranchError as exc:
+    except VerifierError as exc:
         raise CliError("verify", str(exc), EXIT_LEAKY) from exc
     report["verify"] = json.loads(br.to_json())
     if br.verdict != "balanced":
@@ -304,26 +313,17 @@ def _stage_simulate(program, args, report: dict) -> None:
     report["simulate"] = sim
 
 
-def _pipeline_main(argv) -> int:
-    args = _build_pipeline_parser().parse_args(argv)
-    report: dict = {}
-    try:
-        program = _parse_program(args.file, args.a)
-        _stage_lint(program, report)
-        if args.l:
-            return EXIT_OK
-        if args.d:
-            program = _stage_transform(program, args, report)
-        if args.v:
-            _stage_verify(program, args, report)
-        if args.s:
-            _stage_simulate(program, args, report)
-    except CliError as exc:
-        report.setdefault(exc.stage, {})["error"] = str(exc)
-        return exc.code
-    finally:
-        print(json.dumps(report, indent=2))
-    return EXIT_OK
+def _pipeline(args, report: dict) -> None:
+    program = _parse_program(args.file, args.a)
+    _stage_lint(program, report)
+    if args.l:
+        return
+    if args.d:
+        program = _stage_transform(program, args, report)
+    if args.v:
+        _stage_verify(program, args, report)
+    if args.s:
+        _stage_simulate(program, args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -349,30 +349,18 @@ def _build_equiv_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _equiv_main(argv) -> int:
-    args = _build_equiv_parser().parse_args(argv)
-    report: dict = {}
-    try:
-        cfg = _config_from(args)
-        orig = _resolve(_parse_program(args.original, args.a), args,
-                        "equivalence", EXIT_EQUIVALENCE)
-        trans = _resolve(_parse_program(args.transformed, args.a), args,
-                         "equivalence", EXIT_EQUIVALENCE)
-        try:
-            verdict = check(orig, trans, DplStateMap(cfg),
-                            n_samples=args.n, seed=args.seed)
-        except (ValueError, MachineError, NonConstantTimeError) as exc:
-            raise CliError("equivalence", str(exc), EXIT_EQUIVALENCE) from exc
-        report["equivalence"] = json.loads(verdict.to_json())
-        if not verdict.passed:
-            raise CliError("equivalence", f"{len(verdict.failures)} mismatches",
-                           EXIT_EQUIVALENCE)
-    except CliError as exc:
-        report.setdefault(exc.stage, {})["error"] = str(exc)
-        return exc.code
-    finally:
-        print(json.dumps(report, indent=2))
-    return EXIT_OK
+def _equiv(args, report: dict) -> None:
+    cfg = _config_from(args)
+    orig = _resolve(_parse_program(args.original, args.a), args,
+                    "equivalence", EXIT_EQUIVALENCE)
+    trans = _resolve(_parse_program(args.transformed, args.a), args,
+                     "equivalence", EXIT_EQUIVALENCE)
+    verdict = check(orig, trans, DplStateMap(cfg),
+                    n_samples=args.n, seed=args.seed)
+    report["equivalence"] = json.loads(verdict.to_json())
+    if not verdict.passed:
+        raise CliError("equivalence", f"{len(verdict.failures)} mismatches",
+                       EXIT_EQUIVALENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +464,8 @@ def _lab_program(args, stage="lab", code=EXIT_SIMULATE):
 def _lab_traces(args, report: dict) -> None:
     linked, cfg, key, model = _lab_program(args)
     window = _parse_window(args.window, linked)
-    try:
-        ts = synth_traces(linked, key, args.n, model, seed=args.seed,
-                          window=window, cfg=cfg, slot=args.slot)
-    except (MachineError, NonConstantTimeError, LabError) as exc:
-        raise CliError("lab", str(exc), EXIT_SIMULATE) from exc
+    ts = synth_traces(linked, key, args.n, model, seed=args.seed,
+                      window=window, cfg=cfg, slot=args.slot)
     save_traces(args.o, ts)
     report["traces"] = {
         "output": args.o,
@@ -492,11 +477,8 @@ def _lab_traces(args, report: dict) -> None:
 
 
 def _lab_nicv(args, report: dict) -> None:
-    try:
-        ts = load_traces(args.i)
-        curve = nicv(ts, nibble_classifier(args.nibble))
-    except (OSError, LabError, ValueError) as exc:
-        raise CliError("lab", str(exc), EXIT_SIMULATE) from exc
+    ts = load_traces(args.i)
+    curve = nicv(ts, nibble_classifier(args.nibble))
     peak = int(np.argmax(curve)) if len(curve) else 0
     report["nicv"] = {
         "cycles": int(len(curve)),
@@ -512,17 +494,8 @@ def _lab_nicv(args, report: dict) -> None:
 
 
 def _lab_cpa(args, report: dict) -> None:
-    try:
-        ts = load_traces(args.i)
-    except (OSError, LabError) as exc:
-        raise CliError("lab", str(exc), EXIT_SIMULATE) from exc
-    window = None
-    if args.window:
-        lo_s, _, hi_s = args.window.partition(":")
-        try:
-            window = (int(lo_s), int(hi_s))
-        except ValueError as exc:
-            raise CliError("lab", f"bad window {args.window!r}", EXIT_SIMULATE) from exc
+    ts = load_traces(args.i)
+    window = _parse_lo_hi(args.window) if args.window else None
     true_key = _parse_key(args.key) if args.key else None
     res = cpa_monobit(ts, target=args.nibble, window=window, true_key=true_key)
     out = {
@@ -544,13 +517,10 @@ def _lab_success_rate(args, report: dict) -> None:
         grid = [int(t) for t in args.grid.split(",")]
     except ValueError as exc:
         raise CliError("lab", f"bad grid {args.grid!r}", EXIT_SIMULATE) from exc
-    try:
-        curve = success_rate(linked, key, model, grid,
-                             attacks_per_point=args.attacks, seed=args.seed,
-                             target=args.nibble, window=window, cfg=cfg,
-                             slot=args.slot)
-    except (MachineError, NonConstantTimeError, LabError) as exc:
-        raise CliError("lab", str(exc), EXIT_SIMULATE) from exc
+    curve = success_rate(linked, key, model, grid,
+                         attacks_per_point=args.attacks, seed=args.seed,
+                         target=args.nibble, window=window, cfg=cfg,
+                         slot=args.slot)
     report["success_rate"] = {"curve": [[n, r] for n, r in curve]}
     if args.o:
         write_curve_csv(args.o, curve)
@@ -560,10 +530,7 @@ def _lab_success_rate(args, report: dict) -> None:
 def _lab_profile(args, report: dict) -> None:
     model = LeakModel(weights=_parse_weights(args.weights), noise_sigma=args.sigma)
     programs = [resolve(e.program) for e in build_corpus()]
-    try:
-        prof = profile_bits(programs, model, n=args.n, seed=args.seed)
-    except (MachineError, NonConstantTimeError, LabError) as exc:
-        raise CliError("lab", str(exc), EXIT_SIMULATE) from exc
+    prof = profile_bits(programs, model, n=args.n, seed=args.seed)
     bf, bt = prof.recommended_rails
     report["profile"] = {
         "scores": [float(s) for s in prof.scores],
@@ -579,37 +546,52 @@ def _lab_profile(args, report: dict) -> None:
         report["profile"]["output"] = args.o
 
 
-def _lab_main(argv) -> int:
-    args = _build_lab_parser().parse_args(argv)
-    handler = {
-        "traces": _lab_traces,
-        "nicv": _lab_nicv,
-        "cpa": _lab_cpa,
-        "success-rate": _lab_success_rate,
-        "profile": _lab_profile,
-    }[args.command]
+_LAB_COMMANDS = {
+    "traces": _lab_traces,
+    "nicv": _lab_nicv,
+    "cpa": _lab_cpa,
+    "success-rate": _lab_success_rate,
+    "profile": _lab_profile,
+}
+
+
+# ---------------------------------------------------------------------------
+
+
+def _reported(handler, args, stage=None, code=None) -> int:
+    """Run handler(args, report), print the report as one JSON document and
+    return the exit code.
+
+    A CliError is recorded under its own stage with its own code.  Given a
+    stage, a library error (_RUN_ERRORS) is recorded under that stage and
+    returns `code`; without one it propagates after the report is printed.
+    """
     report: dict = {}
     try:
         handler(args, report)
     except CliError as exc:
         report.setdefault(exc.stage, {})["error"] = str(exc)
         return exc.code
+    except _RUN_ERRORS as exc:
+        if stage is None:
+            raise
+        report.setdefault(stage, {})["error"] = str(exc)
+        return code
     finally:
         print(json.dumps(report, indent=2))
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lab":
-        return _lab_main(argv[1:])
+        args = _build_lab_parser().parse_args(argv[1:])
+        return _reported(_LAB_COMMANDS[args.command], args, "lab", EXIT_SIMULATE)
     if argv and argv[0] == "equiv":
-        return _equiv_main(argv[1:])
-    return _pipeline_main(argv)
+        args = _build_equiv_parser().parse_args(argv[1:])
+        return _reported(_equiv, args, "equivalence", EXIT_EQUIVALENCE)
+    return _reported(_pipeline, _build_pipeline_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

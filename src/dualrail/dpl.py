@@ -19,6 +19,7 @@ from .asm import (
     Instruction,
     Line,
     LOGICAL_OPS,
+    OPS,
     MemDirect,
     MemIndirect,
     Program,
@@ -121,17 +122,9 @@ class DplConfig:
         return (ea << self.shifts) | eb
 
     def table_base(self, op: str) -> int:
-        k = ("and", "orr", "xor").index(op)
+        k = LOGICAL_OPS.index(op)
         region, slot = divmod(k, self.tables_per_region)
         return self.lut_base + region * self.region_size + slot
-
-
-def encode(bit: int, cfg: DplConfig) -> int:
-    """Encoded word for a logical bit under cfg."""
-    return cfg.encode(bit)
-
-
-_OP_FUNC = {"and": lambda a, b: a & b, "orr": lambda a, b: a | b, "xor": lambda a, b: a ^ b}
 
 
 @dataclass(frozen=True)
@@ -142,9 +135,6 @@ class LutSpec:
     op: str
     base: int
     entries: dict[int, int] = field(hash=False)
-
-    def lookup(self, offset: int) -> int:
-        return self.entries[offset]
 
 
 @dataclass
@@ -178,12 +168,12 @@ def gen_luts(cfg: DplConfig, ops_used) -> tuple[list[LutSpec], list[Instruction]
     interleave on the free low bit(s) of a shared region.
     """
     cfg.validate()
-    ops = [op for op in ("and", "orr", "xor") if op in ops_used]
+    ops = [op for op in LOGICAL_OPS if op in ops_used]
     specs = []
     regions = set()
     for op in ops:
         base = cfg.table_base(op)
-        regions.add(("and", "orr", "xor").index(op) // cfg.tables_per_region)
+        regions.add(LOGICAL_OPS.index(op) // cfg.tables_per_region)
         slot = (base - cfg.lut_base) % cfg.region_size
         stride = cfg.tables_per_region
         entries = {}
@@ -191,7 +181,7 @@ def gen_luts(cfg: DplConfig, ops_used) -> tuple[list[LutSpec], list[Instruction]
             entries[off] = 0
         for a in (0, 1):
             for b in (0, 1):
-                entries[cfg.pack(cfg.encode(a), cfg.encode(b))] = cfg.encode(_OP_FUNC[op](a, b))
+                entries[cfg.pack(cfg.encode(a), cfg.encode(b))] = cfg.encode(OPS[op].fn(a, b, 1))
         specs.append(LutSpec(op, base, entries))
     covered = {spec.base + off: spec.entries[off] for spec in specs for off in spec.entries}
     stores = []
@@ -244,12 +234,11 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
             return any_mem[0] or bool(tainted_mem)
         return False  # immediate
 
+    writers = [inst for inst in instrs if OPS[inst.opcode].kind in ("unary", "binary")]
     changed = True
     while changed:
         changed = False
-        for inst in instrs:
-            if inst.opcode in ("nop", "jmp", "beq", "bne"):
-                continue
+        for inst in writers:
             dest, *srcs = inst.operands
             if not any(src_tainted(s) for s in srcs):
                 continue
@@ -267,11 +256,12 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
 
     warnings = []
     for idx, inst in enumerate(instrs):
-        if inst.opcode not in ("add", "mul", "beq", "bne"):
+        branch = OPS[inst.opcode].kind == "branch"
+        if not (branch or inst.opcode in ("add", "mul")):
             continue
         if p.tagged(idx, "public"):
             continue
-        srcs = inst.operands[:2] if inst.opcode in ("beq", "bne") else inst.operands[1:]
+        srcs = inst.operands[:2] if branch else inst.operands[1:]
         if any(src_tainted(s) for s in srcs):
             warnings.append(f"instruction {idx}: {inst.opcode} reads sensitive data")
     return actions, warnings
@@ -449,7 +439,7 @@ def _remap_absolute(ln: Line, new_index: dict[int, int]) -> Line:
     """Absolute ``#N`` branch targets point at source instruction indices;
     move them to the first instruction of that source line's expansion."""
     inst = ln.instruction
-    if inst is None or inst.opcode not in ("jmp", "beq", "bne"):
+    if inst is None or OPS[inst.opcode].kind not in ("jump", "branch"):
         return ln
     ops = tuple(
         AddressRef(index=new_index[op.index])

@@ -64,14 +64,15 @@ def _assignments(k: int, n_samples: int, seed: int, exhaustive_threshold: int):
     return [tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(n_samples)]
 
 
-def _init_arrays(program: LinkedProgram, cells, columns: np.ndarray, encoder):
-    """columns: (k, n) bit matrix in declared-cell order."""
+def _init_arrays(program: LinkedProgram, cells, columns: np.ndarray, cfg: DplConfig | None = None):
+    """Initial (memory, registers) of a batch.  columns: (k, n) bit matrix
+    in declared-cell order, stored plain or, under cfg, rail-encoded."""
     n = columns.shape[1]
     mem = np.zeros((program.mem_size, n), dtype=np.uint8)
     regs = np.zeros((program.n_regs, n), dtype=np.uint8)
     for (kind, loc), row in zip(cells, columns):
         target = regs if kind == "reg" else mem
-        target[loc] = encoder(row)
+        target[loc] = row if cfg is None else np.where(row, cfg.encode(1), cfg.encode(0))
     return mem, regs
 
 
@@ -101,12 +102,9 @@ def check(
     assigns = _assignments(len(sens), n_samples, seed, exhaustive_threshold)
     cols = np.array(assigns, dtype=np.uint8).T.reshape(len(sens), len(assigns))
 
-    mem_o, regs_o = _init_arrays(original, sens, cols, lambda row: row)
-    enc0, enc1 = cfg.encode(0), cfg.encode(1)
+    mem_o, regs_o = _init_arrays(original, sens, cols)
     sens_phys = tuple((kind, state_map.physical(loc) if kind == "mem" else loc) for kind, loc in sens)
-    mem_t, regs_t = _init_arrays(
-        transformed, sens_phys, cols, lambda row: np.where(row, enc1, enc0).astype(np.uint8)
-    )
+    mem_t, regs_t = _init_arrays(transformed, sens_phys, cols, cfg)
 
     res_o = batch_run(original, len(assigns), init_memory=mem_o, init_registers=regs_o, max_steps=max_steps)
     res_t = batch_run(transformed, len(assigns), init_memory=mem_t, init_registers=regs_t, max_steps=max_steps)
@@ -123,6 +121,7 @@ def check(
     expected = read(res_o, outs) & 1
     outs_phys = tuple((kind, state_map.physical(loc) if kind == "mem" else loc) for kind, loc in outs)
     raw = read(res_t, outs_phys)
+    enc0, enc1 = cfg.encode(0), cfg.encode(1)
     poison = (raw != enc0) & (raw != enc1)
     actual = (raw == enc1).astype(np.uint8)
 

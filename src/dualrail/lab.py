@@ -424,19 +424,26 @@ def save_traces(path, traces: TraceSet) -> None:
             fh.write(t[r].astype("<f4").tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise LabError(f"truncated trace file: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def load_traces(path) -> TraceSet:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TRACE_MAGIC:
             raise LabError(f"not a trace file (magic {magic!r})")
-        version, n_runs, n_cycles, width = struct.unpack("<IIII", fh.read(16))
+        version, n_runs, n_cycles, width = struct.unpack("<IIII", _read_exact(fh, 16))
         if version != TRACE_VERSION:
             raise LabError(f"unsupported trace file version {version}")
         pts = np.zeros(n_runs, dtype=np.uint64)
         rows = np.zeros((n_runs, n_cycles), dtype=np.float32)
         for r in range(n_runs):
-            (pts[r],) = struct.unpack("<Q", fh.read(8))
-            rows[r] = np.frombuffer(fh.read(4 * n_cycles), dtype="<f4")
+            (pts[r],) = struct.unpack("<Q", _read_exact(fh, 8))
+            rows[r] = np.frombuffer(_read_exact(fh, 4 * n_cycles), dtype="<f4")
     return TraceSet(
         traces=rows,
         plaintexts=pts,

@@ -1,4 +1,9 @@
-"""Concrete interpreter with a Hamming-model leakage event log.
+"""Concrete reference interpreter with a Hamming-model leakage event log.
+
+Opcode semantics come from ``asm.OPS``, the same table the batch engine and
+the verifier run.  This one-run-at-a-time machine is the oracle the others
+are tested against, and it alone records named events (the ``-s`` event
+log) and steps a single run (``present.loop_iteration_window``).
 
 Every destination write emits a reg_update/mem_update event carrying the
 Hamming distance of the update and the Hamming weight of the new value;
@@ -8,17 +13,9 @@ Buses are precharged to zero, so a bus event's hd equals its hw.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .asm import (
-    AddressRef,
-    Immediate,
-    Instruction,
-    LinkedProgram,
-    MemDirect,
-    MemIndirect,
-    Register,
-)
+from .asm import OPS, Immediate, LinkedProgram, MemDirect, Register
 
 # popcount table covering data words and the address space
 _POP = [bin(i).count("1") for i in range(1 << 16)]
@@ -126,46 +123,26 @@ def step(state: MachineState, program: LinkedProgram) -> list[LeakageEvent]:
     mask = (1 << program.word_width) - 1
     mem_size = program.mem_size
     events: list[LeakageEvent] = []
-    op = inst.opcode
+    spec = OPS[inst.opcode]
+    kind = spec.kind
     next_pc = state.pc + 1
 
-    if op == "nop":
-        pass
-    elif op == "jmp":
-        next_pc = inst.operands[0].index
-    elif op in ("mov", "not"):
+    if kind == "unary":
         dest, src = inst.operands
-        v = _load(state, src, events, mem_size)
-        if op == "not":
-            v = ~v & mask
+        v = spec.fn(_load(state, src, events, mem_size), mask)
         _store(state, dest, v, events, mem_size)
-    elif op in ("beq", "bne"):
-        a = _load(state, inst.operands[0], events, mem_size)
-        b = _load(state, inst.operands[1], events, mem_size)
-        taken = (a == b) if op == "beq" else (a != b)
-        if taken:
-            next_pc = inst.operands[2].index
-    else:
+    elif kind == "binary":
         dest, sa, sb = inst.operands
         a = _load(state, sa, events, mem_size)
         b = _load(state, sb, events, mem_size)
-        if op == "and":
-            v = a & b
-        elif op == "orr":
-            v = a | b
-        elif op == "xor":
-            v = a ^ b
-        elif op == "add":
-            v = (a + b) & mask
-        elif op == "mul":
-            v = (a * b) & mask
-        elif op == "lsl":
-            v = (a << b) & mask
-        elif op == "lsr":
-            v = a >> b
-        else:  # pragma: no cover - parser rejects unknown opcodes
-            raise MachineError(f"unknown opcode {op}")
-        _store(state, dest, v, events, mem_size)
+        _store(state, dest, spec.fn(a, b, mask), events, mem_size)
+    elif kind == "branch":
+        a = _load(state, inst.operands[0], events, mem_size)
+        b = _load(state, inst.operands[1], events, mem_size)
+        if spec.fn(a, b, mask):
+            next_pc = inst.operands[2].index
+    elif kind == "jump":
+        next_pc = inst.operands[0].index
 
     state.pc = next_pc
     state.cycle += 1

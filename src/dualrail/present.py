@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asm import LinkedProgram, Program, parse, print_program, resolve
+from .asm import LOGICAL_OPS, LinkedProgram, Program, parse, print_program
 from .machine import MachineState, step
 
 MASK64 = (1 << 64) - 1
@@ -36,19 +36,6 @@ SBOX = (0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x
 PERM = tuple(63 if i == 63 else (16 * i) % 63 for i in range(64))
 
 ROUNDS = 31
-
-
-@dataclass(frozen=True)
-class CipherSpec:
-    name: str
-    block_bits: int
-    key_bits: int
-    rounds: int
-    sbox: tuple
-    perm: tuple
-
-
-PRESENT_80 = CipherSpec("PRESENT-80", 64, 80, ROUNDS, SBOX, PERM)
 
 
 # -- reference model --------------------------------------------------------
@@ -264,9 +251,7 @@ def build_corpus(slots=range(8)) -> list[CorpusEntry]:
     for slot in slots:
         src = present_program(slot)
         prog = parse(src)
-        n_gates = sum(
-            1 for i in prog.instructions if i.opcode in ("and", "orr", "xor")
-        )
+        n_gates = sum(1 for i in prog.instructions if i.opcode in LOGICAL_OPS)
         entries.append(
             CorpusEntry(
                 name=f"present80-b{slot}",
@@ -274,7 +259,7 @@ def build_corpus(slots=range(8)) -> list[CorpusEntry]:
                 sensitive=tuple(prog.declared_cells("sensitive")),
                 outputs=tuple(prog.declared_cells("output")),
                 metadata={
-                    "cipher": PRESENT_80.name,
+                    "cipher": "PRESENT-80",
                     "slot": slot,
                     "instructions": len(prog.instructions),
                     "logical_ops": n_gates,

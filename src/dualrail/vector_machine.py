@@ -1,19 +1,24 @@
 """Batch interpreter: many runs of one program in lockstep, vectorized
 across runs with numpy.
 
-Semantics and event accounting mirror machine.step exactly (dual-route
-tested); control flow must agree across all runs in the batch, which holds
-for the constant-time programs this package produces.  Optionally
-accumulates per-cycle weighted leakage over a cycle window, which is how
-trace synthesis stays fast enough for large attack campaigns.
+This is the production engine: trace synthesis, equivalence checking and
+the verifier's cross-validation all run on it.  Opcode semantics come from
+``asm.OPS``, applied to whole uint8 lanes; event accounting mirrors
+machine.step exactly (dual-route tested against that reference).  Control
+flow must agree across all runs in the batch, which holds for the
+constant-time programs this package produces.  Optionally accumulates
+per-cycle weighted leakage over a cycle window, which is how trace
+synthesis stays fast enough for large attack campaigns.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asm import Immediate, LinkedProgram, MemDirect, MemIndirect, Register
+from .asm import OPS, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
+from .machine import MachineError, StepLimitExceeded
 
 
 class NonConstantTimeError(RuntimeError):
@@ -78,9 +83,28 @@ class _Ctx:
             self.row += self.wtab[value]
 
 
+def _fixed(op, mem_size: int):
+    """An immediate-based indirect operand is a direct one; its address is
+    checked here because resolve() bounds only the offset."""
+    if isinstance(op, MemIndirect) and isinstance(op.base, Immediate):
+        a = op.base.value + op.offset
+        if not 0 <= a < mem_size:
+            raise MachineError(f"address {a} out of range")
+        return MemDirect(a)
+    return op
+
+
+def _indexed(regs, b: int, off: int, mem_size: int):
+    addr = regs[b].astype(np.intp) + off
+    if addr.max(initial=0) >= mem_size:
+        raise MachineError(f"indexed address beyond memory (r{b} + {off})")
+    return addr
+
+
 def _value_loader(op, ctx: _Ctx, mem_size: int):
     """Returns a nullary closure producing the operand's value vector (or a
     scalar for immediates), emitting bus activity for memory operands."""
+    op = _fixed(op, mem_size)
     if isinstance(op, Register):
         i = op.index
         regs = ctx.regs
@@ -99,27 +123,11 @@ def _value_loader(op, ctx: _Ctx, mem_size: int):
             return v
 
         return load_direct
-    # MemIndirect
-    off = op.offset
-    if isinstance(op.base, Immediate):
-        a = op.base.value + off
-        if not 0 <= a < mem_size:
-            raise ValueError(f"address {a} out of range")
-
-        def load_fixed():
-            v = mem[a]
-            ctx.emit_abus(a)
-            ctx.emit_dbus(v)
-            return v
-
-        return load_fixed
-    b = op.base.index
+    b, off = op.base.index, op.offset
     regs = ctx.regs
 
     def load_indexed():
-        addr = regs[b].astype(np.intp) + off
-        if addr.max(initial=0) >= mem_size:
-            raise IndexError(f"indexed address beyond memory (offset {off})")
+        addr = _indexed(regs, b, off, mem_size)
         v = mem[addr, ar]
         ctx.emit_abus(addr)
         ctx.emit_dbus(v)
@@ -131,14 +139,14 @@ def _value_loader(op, ctx: _Ctx, mem_size: int):
 def _storer(op, ctx: _Ctx, mem_size: int):
     """Returns a closure storing a value vector/scalar into the operand,
     emitting the same events as the scalar machine."""
-    dtype = ctx.regs.dtype
+    op = _fixed(op, mem_size)
     if isinstance(op, Register):
         i = op.index
         regs = ctx.regs
 
         def store_reg(v):
             if ctx.row is not None:
-                ctx.emit_flips((regs[i] ^ v).astype(dtype))
+                ctx.emit_flips(regs[i] ^ v)
             regs[i] = v
 
         return store_reg
@@ -149,79 +157,65 @@ def _storer(op, ctx: _Ctx, mem_size: int):
         def store_direct(v):
             if ctx.row is not None:
                 ctx.emit_abus(a)
-                ctx.emit_dbus(np.asarray(v, dtype=dtype))
-                ctx.emit_flips((mem[a] ^ v).astype(dtype))
+                ctx.emit_dbus(v)
+                ctx.emit_flips(mem[a] ^ v)
             mem[a] = v
 
         return store_direct
-    off = op.offset
-    if isinstance(op.base, Immediate):
-        return _storer(MemDirect(op.base.value + off), ctx, mem_size)
-    b = op.base.index
+    b, off = op.base.index, op.offset
     regs = ctx.regs
 
     def store_indexed(v):
-        addr = regs[b].astype(np.intp) + off
-        if addr.max(initial=0) >= mem_size:
-            raise IndexError(f"indexed address beyond memory (offset {off})")
+        addr = _indexed(regs, b, off, mem_size)
         if ctx.row is not None:
             ctx.emit_abus(addr)
-            ctx.emit_dbus(np.asarray(v, dtype=dtype))
-            ctx.emit_flips((mem[addr, ar] ^ v).astype(dtype))
+            ctx.emit_dbus(v)
+            ctx.emit_flips(mem[addr, ar] ^ v)
         mem[addr, ar] = v
 
     return store_indexed
 
 
-_ALU = {
-    "and": lambda a, b, m: a & b,
-    "orr": lambda a, b, m: a | b,
-    "xor": lambda a, b, m: a ^ b,
-    "add": lambda a, b, m: (a + b) & m,
-    "mul": lambda a, b, m: (a * b) & m,
-    "lsl": lambda a, b, m: (a << b) & m,
-    "lsr": lambda a, b, m: (a >> b) & m,
-}
-
-
 def _compile(program: LinkedProgram, ctx: _Ctx):
-    """One closure per instruction; each returns the next pc."""
+    """One closure per instruction; each returns the next pc.  Results of
+    the OPS functions are stored as they come: on uint8 rows and small
+    immediates they stay uint8."""
     mem_size = program.mem_size
     mask = ctx.mask
-    dtype = ctx.regs.dtype
+    # one loader and one storer per distinct operand: long straight-line
+    # programs reuse few registers and each cell a few times
+    loaders: dict = {}
+    storers: dict = {}
+
+    def loader(op):
+        f = loaders.get(op)
+        if f is None:
+            f = loaders[op] = _value_loader(op, ctx, mem_size)
+        return f
+
+    def storer(op):
+        f = storers.get(op)
+        if f is None:
+            f = storers[op] = _storer(op, ctx, mem_size)
+        return f
+
     fns = []
     for pc, inst in enumerate(program.instructions):
-        op = inst.opcode
+        spec = OPS[inst.opcode]
+        fn = spec.fn
         nxt = pc + 1
-        if op == "nop":
+        if spec.kind == "nop":
             fns.append(lambda nxt=nxt: nxt)
-        elif op == "jmp":
+        elif spec.kind == "jump":
             t = inst.operands[0].index
             fns.append(lambda t=t: t)
-        elif op in ("mov", "not"):
-            load = _value_loader(inst.operands[1], ctx, mem_size)
-            store = _storer(inst.operands[0], ctx, mem_size)
-            if op == "mov":
-                def f_mov(load=load, store=store, nxt=nxt):
-                    store(load())
-                    return nxt
-                fns.append(f_mov)
-            else:
-                def f_not(load=load, store=store, nxt=nxt):
-                    v = load()
-                    store(~v & mask if np.isscalar(v) else (~v & mask).astype(dtype))
-                    return nxt
-                fns.append(f_not)
-        elif op in ("beq", "bne"):
-            la = _value_loader(inst.operands[0], ctx, mem_size)
-            lb = _value_loader(inst.operands[1], ctx, mem_size)
+        elif spec.kind == "branch":
+            la = loader(inst.operands[0])
+            lb = loader(inst.operands[1])
             t = inst.operands[2].index
-            eq = op == "beq"
 
-            def f_br(la=la, lb=lb, t=t, eq=eq, nxt=nxt, pc=pc):
-                cond = la() == lb()
-                if not eq:
-                    cond = ~cond if isinstance(cond, np.ndarray) else not cond
+            def f_br(la=la, lb=lb, fn=fn, t=t, nxt=nxt, pc=pc):
+                cond = fn(la(), lb(), mask)
                 if isinstance(cond, np.ndarray):
                     first = bool(cond[0])
                     if not (cond == first).all():
@@ -230,18 +224,25 @@ def _compile(program: LinkedProgram, ctx: _Ctx):
                 return t if cond else nxt
 
             fns.append(f_br)
-        else:
-            la = _value_loader(inst.operands[1], ctx, mem_size)
-            lb = _value_loader(inst.operands[2], ctx, mem_size)
-            store = _storer(inst.operands[0], ctx, mem_size)
-            alu = _ALU[op]
+        elif spec.kind == "unary":
+            load = loader(inst.operands[1])
+            store = storer(inst.operands[0])
 
-            def f_alu(la=la, lb=lb, store=store, alu=alu, nxt=nxt):
-                v = alu(la(), lb(), mask)
-                store(v if np.isscalar(v) else v.astype(dtype))
+            def f_unary(load=load, store=store, fn=fn, nxt=nxt):
+                store(fn(load(), mask))
                 return nxt
 
-            fns.append(f_alu)
+            fns.append(f_unary)
+        else:
+            la = loader(inst.operands[1])
+            lb = loader(inst.operands[2])
+            store = storer(inst.operands[0])
+
+            def f_binary(la=la, lb=lb, store=store, fn=fn, nxt=nxt):
+                store(fn(la(), lb(), mask))
+                return nxt
+
+            fns.append(f_binary)
     return fns
 
 
@@ -258,8 +259,9 @@ def batch_run(
     """Run n_runs instances of the program in lockstep.
 
     With weights, returns per-cycle weighted leakage for cycles in
-    [window[0], window[1]); execution stops at the window end, at halt, or
-    at max_steps, whichever comes first.
+    [window[0], window[1]); execution stops at halt or at the window end,
+    whichever comes first.  Raises StepLimitExceeded when max_steps stops
+    a run before either, and MachineError for an address beyond memory.
     """
     if program.word_width > 8:
         raise ValueError("batch engine supports word widths up to 8")
@@ -290,7 +292,16 @@ def batch_run(
             grow = []
 
     ctx = _Ctx(regs, mem, mask, wtab, atab, include_bus)
-    fns = _compile(program, ctx)
+    # compiling allocates a few closures per instruction and no reference
+    # cycles; with the collector on, a long straight-line program would set
+    # off full collections over every live object
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        fns = _compile(program, ctx)
+    finally:
+        if collecting:
+            gc.enable()
     n = len(fns)
     pc = 0
     cycle = 0
@@ -307,6 +318,8 @@ def batch_run(
             ctx.row = None
         pc = fns[pc]()
         cycle += 1
+    if pc < n and (end is None or cycle < end):
+        raise StepLimitExceeded(f"no halt within {max_steps} steps")
     if grow is not None:
         leak = np.vstack(grow) if grow else np.zeros((0, n_runs), dtype=np.float32)
     return BatchResult(regs, mem, leak, cycle, start)

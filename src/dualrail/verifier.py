@@ -4,23 +4,27 @@ Each register and memory cell holds the set of values it may take over all
 assignments of the declared sensitive inputs.  Control flow must stay
 concrete.  An update whose possible Hamming distances (or weights) are not
 a single value is a leak finding; a program with no findings has constant
-leakage activity under the Hamming model.
+leakage activity under the Hamming model.  No tag exempts an instruction:
+every executed instruction is checked.
+
+Opcode semantics come from ``asm.OPS``, applied to every combination of
+operand values.  cross_validate confirms a verdict dynamically, with all its
+input pairs as the lanes of one vector_machine.batch_run.
 """
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
-from .asm import (
-    Immediate,
-    LinkedProgram,
-    MemDirect,
-    MemIndirect,
-    Register,
-)
-from .dpl import DplConfig, PROLOGUE_TAG
-from .machine import _POP, MachineState, cycle_leakage, run
+import numpy as np
+
+from .asm import OPS, Immediate, LinkedProgram, MemDirect, Register
+from .dpl import DplConfig
+from .equivalence import _init_arrays
+from .machine import _POP
+from .vector_machine import batch_run
 
 BALANCED = "balanced"
 LEAKY = "leaky"
@@ -116,17 +120,6 @@ def symbolic_init(
     return state
 
 
-_OPS = {
-    "and": lambda x, y, m: x & y,
-    "orr": lambda x, y, m: x | y,
-    "xor": lambda x, y, m: x ^ y,
-    "add": lambda x, y, m: (x + y) & m,
-    "mul": lambda x, y, m: (x * y) & m,
-    "lsl": lambda x, y, m: (x << y) & m,
-    "lsr": lambda x, y, m: x >> y,
-}
-
-
 def _hd_witness(pairs):
     """Two (old,new) pairs with distinct Hamming distances, if any."""
     seen = {}
@@ -157,12 +150,6 @@ class Verifier:
         self.program = program
         self.cap = cap
         self.mask = (1 << program.word_width) - 1
-        directives = program.source.directives if program.source is not None else {}
-        self.skip = {
-            i
-            for i, tags in directives.items()
-            if any(t == PROLOGUE_TAG or t.startswith(PROLOGUE_TAG + " ") for t in tags)
-        }
 
     # -- operand access -----------------------------------------------------
 
@@ -219,11 +206,11 @@ class Verifier:
         """Write `vals` to a destination.  `pairs` carries the correlated
         (old, new) possibilities when the destination aliases a source
         operand; otherwise old and new are treated as independent."""
-        hw_set = frozenset(_POP[v] for v in vals)
+        hw_set = frozenset([_POP[v] for v in vals])
         if isinstance(op, Register):
             old = state.registers[op.index]
             state.registers[op.index] = vals
-            loc, kind = f"r{op.index}", "reg_update"
+            loc, kind = op, "reg_update"
         else:
             addrs = self._addresses(state, op)
             if len(addrs) != 1:
@@ -241,11 +228,12 @@ class Verifier:
                     LeakFinding(idx, "data_bus", "dbus", hw_set, hw_set, _hw_witness(vals))
                 )
         if pairs is None:
-            pairs = tuple((o, n) for o in old for n in vals)
-        hd_set = frozenset(_POP[o ^ n] for o, n in pairs)
+            hd_set = frozenset([_POP[o ^ n] for o in old for n in vals])
+        else:
+            hd_set = frozenset([_POP[o ^ n] for o, n in pairs])
         if len(hd_set) > 1 or len(hw_set) > 1:
-            witness = _hd_witness(pairs) or _hw_witness(vals)
-            findings.append(LeakFinding(idx, kind, loc, hd_set, hw_set, witness))
+            witness = _hd_witness(pairs or product(old, vals)) or _hw_witness(vals)
+            findings.append(LeakFinding(idx, kind, str(loc), hd_set, hw_set, witness))
 
     # -- stepping -----------------------------------------------------------
 
@@ -255,26 +243,13 @@ class Verifier:
             raise VerifierError("halted")
         idx = state.pc
         inst = program.instructions[idx]
-        op = inst.opcode
+        spec = OPS[inst.opcode]
         findings: list[LeakFinding] = []
         next_pc = idx + 1
 
-        if op == "nop":
-            pass
-        elif op == "jmp":
+        if spec.kind == "jump":
             next_pc = inst.operands[0].index
-        elif op in ("mov", "not"):
-            dest, src = inst.operands
-            vals = self._load(state, src, findings, idx)
-            alias = dest == src
-            if op == "not":
-                out = frozenset(~v & self.mask for v in vals)
-                pairs = frozenset((v, ~v & self.mask) for v in vals) if alias else None
-            else:
-                out = vals
-                pairs = frozenset((v, v) for v in vals) if alias else None
-            self._store(state, dest, out, findings, idx, pairs=pairs)
-        elif op in ("beq", "bne"):
+        elif spec.kind == "branch":
             a = self._load(state, inst.operands[0], findings, idx)
             b = self._load(state, inst.operands[1], findings, idx)
             target = inst.operands[2].index
@@ -285,14 +260,21 @@ class Verifier:
                     )
             else:
                 (va,), (vb,) = a, b
-                taken = (va == vb) if op == "beq" else (va != vb)
-                if taken:
+                if spec.fn(va, vb, self.mask):
                     next_pc = target
-        else:
+        elif spec.kind == "unary":
+            dest, src = inst.operands
+            vals = self._load(state, src, findings, idx)
+            fn, mask = spec.fn, self.mask
+            image = [fn(v, mask) for v in vals]
+            # an update of its own source pairs each old value with its image
+            pairs = frozenset(zip(vals, image)) if dest == src else None
+            self._store(state, dest, frozenset(image), findings, idx, pairs=pairs)
+        elif spec.kind == "binary":
             dest, sa, sb = inst.operands
             a = self._load(state, sa, findings, idx)
             b = self._load(state, sb, findings, idx)
-            f = _OPS[op]
+            f = spec.fn
             alias_a, alias_b = dest == sa, dest == sb
             image = set()
             pairs = set()
@@ -317,14 +299,7 @@ class Verifier:
 
         state.pc = next_pc
         state.cycle += 1
-        if idx in self.skip:
-            return []
         return findings
-
-
-def sym_step(state: SymbolicState, program: LinkedProgram, cap: int = 16) -> list[LeakFinding]:
-    """Single-step convenience wrapper around Verifier."""
-    return Verifier(program, cap).sym_step(state)
 
 
 def verify(
@@ -383,32 +358,32 @@ def cross_validate(
     max_steps: int = 2_000_000,
 ) -> CrossValidation:
     """Dynamic confirmation of a balanced verdict: random pairs of sensitive
-    inputs must yield identical per-cycle leakage under uniform weights."""
-    if program.source is None:
+    inputs must yield identical per-cycle leakage under uniform weights.
+
+    All 2*n_pairs runs are one batch_run; lanes 2p and 2p+1 are pair p.
+    Raises StepLimitExceeded if the program does not halt within max_steps,
+    and NonConstantTimeError if its control flow depends on the inputs.
+    """
+    if program.source is None or n_pairs <= 0:
         return CrossValidation(True, 0)
     cells = program.source.declared_cells("sensitive")
     rng = random.Random(seed)
-    width = program.word_width
-
-    def one_run(bits):
-        init = MachineState.fresh(program.n_regs, program.mem_size)
-        for (kind, loc), bit in zip(cells, bits):
-            val = bit if cfg is None else cfg.encode(bit)
-            if kind == "reg":
-                init.registers[loc] = val
-            else:
-                init.memory[loc] = val
-        res = run(program, init, max_steps=max_steps)
-        return cycle_leakage(res.events, [1.0] * width, include_bus=True)
-
-    for p in range(n_pairs):
-        bits_a = [rng.randint(0, 1) for _ in cells]
-        bits_b = [rng.randint(0, 1) for _ in cells]
-        la, lb = one_run(bits_a), one_run(bits_b)
-        if la != lb:
-            diff = next(
-                (i for i, (x, y) in enumerate(zip(la, lb)) if x != y),
-                min(len(la), len(lb)),
-            )
-            return CrossValidation(False, p + 1, diff)
-    return CrossValidation(True, n_pairs)
+    lanes = 2 * n_pairs
+    bits = [[rng.randint(0, 1) for _ in cells] for _ in range(lanes)]
+    cols = np.array(bits, dtype=np.uint8).T.reshape(len(cells), lanes)
+    mem, regs = _init_arrays(program, cells, cols, cfg)
+    res = batch_run(
+        program,
+        lanes,
+        init_memory=mem,
+        init_registers=regs,
+        weights=[1.0] * program.word_width,
+        include_bus=True,
+        max_steps=max_steps,
+    )
+    diff = res.leakage[:, 0::2] != res.leakage[:, 1::2]  # (cycles, n_pairs)
+    failing = np.flatnonzero(diff.any(axis=0))
+    if len(failing) == 0:
+        return CrossValidation(True, n_pairs)
+    p = int(failing[0])
+    return CrossValidation(False, p + 1, int(np.argmax(diff[:, p])))

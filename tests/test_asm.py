@@ -10,6 +10,7 @@ from dualrail.asm import (
     Immediate,
     Instruction,
     LinkError,
+    OPS,
     MemDirect,
     MemIndirect,
     ParseError,
@@ -106,6 +107,18 @@ def test_parse_errors(bad):
         parse(bad)
 
 
+_OP_OF_KIND = {spec.kind: op for op, spec in OPS.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(_OP_OF_KIND))
+def test_wrong_operand_count_rejected_for_every_kind(kind):
+    op = _OP_OF_KIND[kind]
+    for n in (OPS[op].arity - 1, OPS[op].arity + 1):
+        if n >= 0:
+            with pytest.raises(ParseError, match="operand"):
+                parse(op + " r1" * n + "\n")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as e:
         parse("nop\nbogus r1 r2\n")
@@ -145,7 +158,7 @@ def test_adapter_registry():
     assert "avr-like" in ADAPTERS
 
 
-_OPC3 = st.sampled_from(["and", "orr", "xor", "lsl", "lsr", "add", "mul"])
+_OPC3 = st.sampled_from(sorted(op for op, spec in OPS.items() if spec.kind == "binary"))
 _REG = st.integers(0, 31).map(lambda i: f"r{i}")
 _VAL = st.one_of(
     _REG,

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dualrail import cli
+from dualrail.lab import TraceSet, save_traces
 
 GATE = ";@sensitive @100-101\n;@output @102\nand @102 @100 @101\n"
 NOT_GATE = ";@sensitive @100\n;@output @102\nnot @102 @100\n"
@@ -206,3 +208,35 @@ def test_missing_file(capsys):
     code, rep = _run(capsys, ["/nonexistent/x.asm"])
     assert code == cli.EXIT_PARSE
     assert "error" in rep["parse"]
+
+
+# -- errors become a JSON report and an exit code ---------------------------
+
+
+def _trace_file(tmp_path, n_runs=4, n_cycles=10):
+    path = tmp_path / "t.bin"
+    save_traces(path, TraceSet(np.zeros((n_runs, n_cycles)), np.arange(n_runs, dtype=np.uint64),
+                               fixed_key=None, seed=None))
+    return path
+
+
+def test_verify_data_dependent_store_address(capsys, tmp_path):
+    p = tmp_path / "store.asm"
+    p.write_text(";@sensitive r4\nmov !r4,100 #1\n")
+    code, rep = _run(capsys, ["-v", str(p)])
+    assert code == cli.EXIT_LEAKY
+    assert "data-dependent store address" in rep["verify"]["error"]
+
+
+def test_lab_cpa_window_past_trace_length(capsys, tmp_path):
+    code, rep = _run(capsys, ["lab", "cpa", "-i", str(_trace_file(tmp_path)), "-window", "0:11"])
+    assert code == cli.EXIT_SIMULATE
+    assert "window outside trace length" in rep["lab"]["error"]
+
+
+def test_lab_truncated_trace_file(capsys, tmp_path):
+    path = _trace_file(tmp_path)
+    path.write_bytes(path.read_bytes()[:-3])
+    code, rep = _run(capsys, ["lab", "nicv", "-i", str(path)])
+    assert code == cli.EXIT_SIMULATE
+    assert "truncated trace file" in rep["lab"]["error"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualrail.asm import parse, resolve
-from dualrail.machine import MachineState, cycle_leakage, run
+from dualrail.machine import MachineError, MachineState, StepLimitExceeded, cycle_leakage, run
 from dualrail.vector_machine import NonConstantTimeError, batch_run
 
 SRC = (
@@ -100,3 +100,35 @@ def test_indirect_store_per_lane_addresses():
     res = batch_run(lp, 3, init_registers=regs)
     assert res.memory[200, 0] == 9 and res.memory[201, 1] == 9 and res.memory[202, 2] == 9
     assert res.memory[200, 1] == 0
+
+
+def test_step_limit_raises():
+    lp = resolve(parse("top: jmp top\n"))
+    with pytest.raises(StepLimitExceeded):
+        batch_run(lp, 2, max_steps=100)
+    with pytest.raises(StepLimitExceeded):
+        batch_run(lp, 2, weights=(1.0,) * 8, window=(0, 200), max_steps=100)
+
+
+def test_window_end_stops_without_raising():
+    lp = resolve(parse("top: jmp top\n"))
+    res = batch_run(lp, 2, weights=(1.0,) * 8, window=(10, 50), max_steps=100)
+    assert res.cycles == 50
+    assert res.leakage.shape == (40, 2)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "mov r1 #200\nmov r2 !r1,900\n",
+        "mov r1 #200\nmov !r1,900 r2\n",
+        "mov r2 !#200,900\n",
+        "mov !#200,900 r2\n",
+    ],
+)
+def test_address_beyond_memory_is_machine_error(src):
+    lp = resolve(parse(src))
+    with pytest.raises(MachineError):
+        batch_run(lp, 2)
+    with pytest.raises(MachineError):
+        run(lp)

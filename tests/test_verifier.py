@@ -125,11 +125,19 @@ def test_findings_merge_by_instruction():
 
 
 def test_prologue_stores_exempt():
-    # table initialization writes values of differing weight by design;
-    # tagged prologue lines must not be flagged
+    # table initialization writes values of differing weight by design, but
+    # every such store is concrete, so it verifies clean with no exemption
     out, _ = transform(parse(";@sensitive r4\n;@sensitive r5\nxor r6 r4 r5\n"), CANON)
     rep = verify(resolve(out), cfg=CANON)
     assert rep.verdict == "balanced"
+
+
+def test_prologue_tag_does_not_exempt_a_leak():
+    # no tag may suppress a finding: the same leaking gate verifies leaky
+    # with and without a prologue tag
+    for tag in ("", " ;@prologue"):
+        rep = _verify_src(f";@sensitive r4\nand r7 r4 #1{tag}\n")
+        assert rep.verdict == "leaky"
 
 
 def test_report_json_shape():
