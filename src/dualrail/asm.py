@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 #: operand count of each instruction kind
@@ -157,13 +158,16 @@ class Line:
 
 @dataclass(frozen=True)
 class Program:
+    """Parsed lines.  The views below are built once and shared (callers
+    must not modify them); the lines are immutable, so none goes stale."""
+
     lines: tuple[Line, ...]
 
-    @property
+    @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
         return tuple(ln.instruction for ln in self.lines if ln.instruction is not None)
 
-    @property
+    @cached_property
     def label_table(self) -> dict[str, int]:
         table: dict[str, int] = {}
         idx = 0
@@ -174,7 +178,7 @@ class Program:
                 idx += 1
         return table
 
-    @property
+    @cached_property
     def directives(self) -> dict[int, tuple[str, ...]]:
         """Directive tags per instruction index.
 
@@ -371,29 +375,31 @@ def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024, word_width: i
     instrs = p.instructions
     n = len(instrs)
     mask = (1 << word_width) - 1
+    checked = set()  # (operand, is shift count) pairs already in range
     resolved = []
     for idx, inst in enumerate(instrs):
-        ops = []
         for pos, op in enumerate(inst.operands):
             if isinstance(op, AddressRef):
                 if op.label is not None:
                     if op.label not in table:
                         raise LinkError(f"instruction {idx}: undefined label {op.label!r}")
                     target = table[op.label]
+                    # a branch target is always the last operand
+                    inst = Instruction(inst.opcode, inst.operands[:pos] + (AddressRef(index=target),))
                 else:
                     target = op.index
                 if not 0 <= target <= n:
                     raise LinkError(f"instruction {idx}: branch target {target} out of range")
-                ops.append(AddressRef(index=target))
                 continue
-            _check_ranges(op, inst, pos, idx, n_regs, mem_size, mask)
-            ops.append(op)
-        resolved.append(Instruction(inst.opcode, tuple(ops)))
+            key = (op, pos == 2 and inst.opcode in ("lsl", "lsr"))
+            if key not in checked:
+                _check_ranges(*key, f"instruction {idx} ({inst.opcode})", n_regs, mem_size, mask)
+                checked.add(key)
+        resolved.append(inst)
     return LinkedProgram(tuple(resolved), source=p, n_regs=n_regs, mem_size=mem_size, word_width=word_width)
 
 
-def _check_ranges(op, inst, pos, idx, n_regs, mem_size, mask):
-    where = f"instruction {idx} ({inst.opcode})"
+def _check_ranges(op, shift, where, n_regs, mem_size, mask):
     if isinstance(op, Register):
         if not 0 <= op.index < n_regs:
             raise LinkError(f"{where}: register r{op.index} out of range")
@@ -403,7 +409,7 @@ def _check_ranges(op, inst, pos, idx, n_regs, mem_size, mask):
     elif isinstance(op, Immediate):
         # immediates are data words except when used as a shift count,
         # which is bounded by the word width instead
-        if inst.opcode in ("lsl", "lsr") and pos == 2:
+        if shift:
             if not 0 <= op.value <= mask.bit_length():
                 raise LinkError(f"{where}: shift count {op.value} out of range")
         elif not 0 <= op.value <= mask:

@@ -210,11 +210,13 @@ def _parse_window(text, linked):
     """'full', 'round', 'sbox', or absolute 'LO:HI' cycle bounds."""
     if text in (None, "full"):
         return None
-    if text == "round":
-        return loop_iteration_window(linked, LABEL_ROUND)
-    if text == "sbox":
-        return loop_iteration_window(linked, LABEL_SBOX)
-    return _parse_lo_hi(text, "full, round, sbox or ")
+    labels = {"round": LABEL_ROUND, "sbox": LABEL_SBOX}
+    if text not in labels:
+        return _parse_lo_hi(text, "full, round, sbox or ")
+    try:
+        return loop_iteration_window(linked, labels[text])
+    except KeyError as exc:
+        raise CliError("lab", f"window {text}: {exc.args[0]}", EXIT_SIMULATE) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +274,11 @@ def _stage_transform(program, args, report: dict):
     report["transform"] = json.loads(tr.to_json())
     if args.o:
         printer = ADAPTERS[args.a].print if args.a else print_program
-        with open(args.o, "w") as fh:
-            fh.write(printer(transformed))
+        try:
+            with open(args.o, "w") as fh:
+                fh.write(printer(transformed))
+        except OSError as exc:
+            raise CliError("transform", f"cannot write {args.o}: {exc}", EXIT_TRANSFORM) from exc
         report["transform"]["output"] = args.o
     return transformed
 
@@ -308,7 +313,11 @@ def _stage_simulate(program, args, report: dict) -> None:
     if args.events_csv:
         from .machine import write_events_csv
 
-        write_events_csv(result.events, args.events_csv)
+        try:
+            write_events_csv(result.events, args.events_csv)
+        except OSError as exc:
+            raise CliError("simulate", f"cannot write {args.events_csv}: {exc}",
+                           EXIT_SIMULATE) from exc
         sim["events_csv"] = args.events_csv
     report["simulate"] = sim
 

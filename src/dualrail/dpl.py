@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .asm import (
     AddressRef,
@@ -284,6 +285,28 @@ def _encode_value_operand(op, cfg: DplConfig):
     return op
 
 
+@lru_cache(maxsize=64)
+def _macro_frame(cfg: DplConfig, opcode: str):
+    """The operand-independent runs of expand_macro's output: built once
+    per (cfg, opcode) and shared by every macro (instructions are frozen)."""
+    r1, r2, r3 = (Register(i) for i in cfg.scratch)
+    r0 = Register(cfg.zero_reg)
+    mask = Immediate(cfg.mask)
+    precharge = Instruction("mov", (r1, r0))
+    pack_a = (
+        Instruction("and", (r1, r1, mask)),
+        *[Instruction("lsl", (r1, r1, Immediate(1)))] * cfg.shifts,
+        Instruction("mov", (r2, r0)),
+    )
+    fetch = (
+        Instruction("and", (r2, r2, mask)),
+        Instruction("orr", (r1, r1, r2)),
+        Instruction("mov", (r3, r0)),
+        Instruction("mov", (r3, MemIndirect(r1, cfg.table_base(opcode)))),
+    )
+    return precharge, pack_a, fetch
+
+
 def expand_macro(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     """The DPL macro for ``op d a b``: load and mask both encoded operands,
     stack them into the table index, fetch, and copy out - precharging every
@@ -295,26 +318,16 @@ def expand_macro(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     r0 = Register(cfg.zero_reg)
     for op, what in ((d, "destination"), (a, "operand"), (b, "operand")):
         _scratch_free(op, cfg, what)
-    a = _encode_value_operand(a, cfg)
-    b = _encode_value_operand(b, cfg)
-    mask = Immediate(cfg.mask)
-    out = [
-        Instruction("mov", (r1, r0)),
-        Instruction("mov", (r1, a)),
-        Instruction("and", (r1, r1, mask)),
-    ]
-    out += [Instruction("lsl", (r1, r1, Immediate(1)))] * cfg.shifts
-    out += [
-        Instruction("mov", (r2, r0)),
-        Instruction("mov", (r2, b)),
-        Instruction("and", (r2, r2, mask)),
-        Instruction("orr", (r1, r1, r2)),
-        Instruction("mov", (r3, r0)),
-        Instruction("mov", (r3, MemIndirect(r1, cfg.table_base(inst.opcode)))),
+    precharge, pack_a, fetch = _macro_frame(cfg, inst.opcode)
+    return [
+        precharge,
+        Instruction("mov", (r1, _encode_value_operand(a, cfg))),
+        *pack_a,
+        Instruction("mov", (r2, _encode_value_operand(b, cfg))),
+        *fetch,
         Instruction("mov", (d, r0)),
         Instruction("mov", (d, r3)),
     ]
-    return out
 
 
 def rewrite_not(inst: Instruction, cfg: DplConfig) -> list[Instruction]:

@@ -240,3 +240,27 @@ def test_lab_truncated_trace_file(capsys, tmp_path):
     code, rep = _run(capsys, ["lab", "nicv", "-i", str(path)])
     assert code == cli.EXIT_SIMULATE
     assert "truncated trace file" in rep["lab"]["error"]
+
+
+def test_lab_window_label_missing(capsys, gate_file, tmp_path):
+    code, rep = _run(capsys, ["lab", "traces", gate_file, "-o", str(tmp_path / "t.bin"),
+                              "-n", "2", "-window", "sbox"])
+    assert code == cli.EXIT_SIMULATE
+    assert "no label 'sbx'" in rep["lab"]["error"]
+
+
+def test_transform_output_unwritable(capsys, gate_file, tmp_path):
+    out = tmp_path / "missing" / "out.asm"
+    code, rep = _run(capsys, ["-d", "-o", str(out), gate_file])
+    assert code == cli.EXIT_TRANSFORM
+    assert "cannot write" in rep["transform"]["error"]
+    assert rep["transform"]["expanded_count"] == 1
+
+
+def test_events_csv_unwritable(capsys, tmp_path):
+    p = tmp_path / "prog.asm"
+    p.write_text("mov r1 #5\n")
+    out = tmp_path / "missing" / "ev.csv"
+    code, rep = _run(capsys, ["-s", "--events-csv", str(out), str(p)])
+    assert code == cli.EXIT_SIMULATE
+    assert "cannot write" in rep["simulate"]["error"]

@@ -84,6 +84,44 @@ def test_window_trims_cycles():
     assert np.allclose(part.leakage, full.leakage[3:7])
 
 
+#: two nested counted loops: 4820 cycles
+LONG_LOOP = (
+    "mov r4 @100\n"
+    "mov r1 #0\n"
+    "outer: mov r2 #0\n"
+    "inner: add r2 r2 #1\n"
+    "xor r3 r3 r4\n"
+    "mov @102 r3\n"
+    "bne r2 #200 inner\n"
+    "add r1 r1 #1\n"
+    "bne r1 #6 outer\n"
+)
+
+
+def test_open_window_matches_fixed_window():
+    lp = resolve(parse(LONG_LOOP))
+    mem = _random_mem(5, seed=3)
+    kw = dict(init_memory=mem, weights=(1.0, 2.0, 0.5, 1.0, 1.0, 3.0, 1.0, 1.0), include_bus=True)
+    full = batch_run(lp, 5, **kw)
+    assert full.cycles == 4820
+    assert full.leakage.shape == (4820, 5)
+    # recording until halt must give what a window known up front gives
+    for start in (0, 10, 4000):
+        open_end = batch_run(lp, 5, window=(start, None), **kw)
+        fixed = batch_run(lp, 5, window=(start, full.cycles), **kw)
+        assert open_end.leakage.dtype == np.float32
+        np.testing.assert_array_equal(open_end.leakage, fixed.leakage)
+        np.testing.assert_array_equal(open_end.leakage, full.leakage[start:])
+
+
+def test_open_window_leakage_empty():
+    assert batch_run(resolve(parse("")), 3, weights=(1.0,) * 8).leakage.shape == (0, 3)
+    lp = resolve(parse("mov r1 #1\nmov r2 #2\n"))
+    res = batch_run(lp, 3, weights=(1.0,) * 8, window=(5, None))
+    assert res.cycles == 2
+    assert res.leakage.shape == (0, 3)
+
+
 def test_register_init_matrix():
     lp = resolve(parse("add r5 r4 #1\nmov @100 r5\n"))
     regs = np.zeros((32, 3), dtype=np.uint8)
