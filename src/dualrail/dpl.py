@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .asm import (
     AddressRef,
@@ -55,6 +55,11 @@ class DplConfig:
     compact: bool = False
     scratch: tuple[int, int, int] = (20, 21, 22)
     zero_reg: int = 0
+
+    @cached_property
+    def reserved(self) -> frozenset[int]:
+        """The registers the macros own: scratch and zero register."""
+        return frozenset((*self.scratch, self.zero_reg))
 
     @property
     def span(self) -> int:
@@ -101,8 +106,7 @@ class DplConfig:
             raise TransformError(f"table base {self.lut_base} misaligned for the index field")
         if self.compact and self.pattern_lo == 0:
             raise TransformError("compact tables need a nonzero pattern offset")
-        ids = (*self.scratch, self.zero_reg)
-        if len(set(ids)) != 4:
+        if len(self.reserved) != 4:
             raise TransformError("scratch registers and zero register must be distinct")
 
     def encode(self, bit: int) -> int:
@@ -269,13 +273,12 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
 
 
 def _scratch_free(op, cfg: DplConfig, what: str) -> None:
-    reserved = set(cfg.scratch) | {cfg.zero_reg}
     reg = None
     if isinstance(op, Register):
         reg = op.index
     elif isinstance(op, MemIndirect) and isinstance(op.base, Register):
         reg = op.base.index
-    if reg in reserved:
+    if reg in cfg.reserved:
         raise TransformError(f"{what} uses reserved register r{reg}")
 
 
@@ -389,8 +392,7 @@ def transform(p: Program, cfg: DplConfig, strict: bool = False) -> tuple[Program
     if strict and warnings:
         raise TransformError("; ".join(warnings))
 
-    reserved = set(cfg.scratch) | {cfg.zero_reg}
-    clash = _used_registers(p) & reserved
+    clash = _used_registers(p) & cfg.reserved
     if clash:
         raise TransformError(f"program already uses reserved register(s) {sorted(clash)}")
 

@@ -11,7 +11,10 @@ encoding.
 Determinism: every function that draws randomness is seeded; campaign
 seeds are derived from the root seed with ``numpy.random.SeedSequence
 (root, spawn_key=(point_index, attack_index))``, so results are
-reproducible and independent of evaluation order.
+reproducible and independent of evaluation order.  A success-rate point
+packs its campaigns side by side into as few batch runs as a fixed memory
+budget (``BATCH_BYTES``) allows; lanes of a batch never interact, so the
+curve does not depend on that packing either.
 """
 from __future__ import annotations
 
@@ -34,6 +37,10 @@ from .vector_machine import batch_run
 #: corpus succeeds within a few hundred traces while single traces stay
 #: visibly noisy
 DEFAULT_NOISE_SIGMA = 2.0
+
+#: bytes one packed success-rate batch may hold: each lane carries its
+#: memory column and its float32 leakage column over the window
+BATCH_BYTES = 16 << 20
 
 TRACE_MAGIC = b"DPLT"
 TRACE_VERSION = 1
@@ -132,39 +139,58 @@ def synth_traces(
     matrix; the default is the PRESENT corpus layout with the given
     rail configuration `cfg` (or plain bit position `slot`).
     """
-    rng = np.random.default_rng(seed)
+    (ts,) = _synth(
+        program, key, n, model, [seed], window=window, plaintexts=plaintexts, cfg=cfg,
+        slot=slot, init_builder=init_builder, max_steps=max_steps,
+    )
+    return ts
+
+
+def _synth(
+    program, key, n, model, seeds, *, window, plaintexts=None, cfg=None, slot=0,
+    init_builder=None, max_steps=50_000_000,
+) -> list[TraceSet]:
+    """One trace set of `n` runs per seed, all from one batch_run.
+
+    Each seed's generator draws its n plaintexts (unless `plaintexts`
+    gives them for a single seed); the concatenated plaintexts run as one
+    batch, each set's leakage columns are copied out, and each set's noise
+    comes from its own generator after its plaintexts.  Lanes never
+    interact, so every set equals the one a batch of its own gives, bit
+    for bit."""
+    rngs = [np.random.default_rng(s) for s in seeds]
     if plaintexts is None:
-        pts = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+        pts = [rng.integers(0, 1 << 64, size=n, dtype=np.uint64) for rng in rngs]
     else:
-        pts = np.asarray(plaintexts, dtype=np.uint64)
-        if len(pts) != n:
+        pts = [np.asarray(plaintexts, dtype=np.uint64)]
+        if len(pts[0]) != n:
             raise LabError("need exactly n plaintexts")
+    all_pts = np.concatenate(pts)
     if init_builder is None:
-        mem = corpus_init(pts, int(key), slot=slot, cfg=cfg, mem_size=program.mem_size)
+        mem = corpus_init(all_pts, int(key), slot=slot, cfg=cfg, mem_size=program.mem_size)
     else:
-        mem = init_builder(pts, key)
+        mem = init_builder(all_pts, key)
     res = batch_run(
         program,
-        n,
+        len(all_pts),
         init_memory=mem,
         weights=model.weights,
         include_bus=model.include_bus,
         window=window if window is not None else (0, None),
         max_steps=max_steps,
     )
-    traces = res.leakage.T.astype(np.float32, copy=True)
-    if model.noise_sigma > 0:
-        traces += rng.normal(0.0, model.noise_sigma, size=traces.shape).astype(
-            np.float32
-        )
-    return TraceSet(
-        traces=traces,
-        plaintexts=pts,
-        fixed_key=int(key),
-        seed=seed,
-        cycle_offset=res.window_start,
-        word_width=program.word_width,
-    )
+    offset = res.window_start
+    leak = res.leakage
+    traces = [leak[:, i * n : (i + 1) * n].T.astype(np.float32) for i in range(len(seeds))]
+    # the batch is the largest thing alive; drop it before the noise
+    del res, mem, leak
+    out = []
+    for seed, rng, p, t in zip(seeds, rngs, pts, traces):
+        if model.noise_sigma > 0:
+            t += rng.normal(0.0, model.noise_sigma, size=t.shape).astype(np.float32)
+        out.append(TraceSet(traces=t, plaintexts=p, fixed_key=int(key), seed=seed,
+                            cycle_offset=offset, word_width=program.word_width))
+    return out
 
 
 # -- NICV and SNR -----------------------------------------------------------
@@ -303,20 +329,32 @@ def success_rate(
     """Success-rate curve: for each n in `grid`, the fraction of
     `attacks_per_point` independent campaigns (fresh plaintexts and noise)
     whose monobit CPA ranks the true key nibble first.  Raw estimates, no
-    smoothing."""
+    smoothing.
+
+    The campaigns of a point run side by side in as few batch runs as
+    `BATCH_BYTES` allows, a lane holding its memory and its leakage
+    window; a campaign is never split, and one over the budget, or any
+    campaign without a window end, runs alone.  Each campaign keeps its
+    own seed, so the curve does not depend on the packing."""
     if attacks_per_point < 1:
         raise LabError("attacks_per_point must be >= 1")
+    grid = [int(n) for n in grid]
+    if any(n < 2 for n in grid):
+        raise LabError("every grid point needs at least 2 traces")
+    start, end = window if window is not None else (0, None)
+    lane_bytes = None if end is None else program.mem_size + 4 * max(0, end - start)
     curve = []
     for pi, n in enumerate(grid):
+        per_batch = 1 if lane_bytes is None else max(1, BATCH_BYTES // (n * lane_bytes))
         hits = 0
-        for a in range(attacks_per_point):
-            sseq = np.random.SeedSequence(seed, spawn_key=(pi, a))
-            ts = synth_traces(
-                program, key, int(n), model, seed=sseq, window=window, cfg=cfg, slot=slot
-            )
-            res = cpa_monobit(ts, target)
-            hits += int(res.success)
-        curve.append((int(n), hits / attacks_per_point))
+        for a0 in range(0, attacks_per_point, per_batch):
+            seeds = [
+                np.random.SeedSequence(seed, spawn_key=(pi, a))
+                for a in range(a0, min(a0 + per_batch, attacks_per_point))
+            ]
+            for ts in _synth(program, key, n, model, seeds, window=window, cfg=cfg, slot=slot):
+                hits += int(cpa_monobit(ts, target).success)
+        curve.append((n, hits / attacks_per_point))
     return curve
 
 

@@ -261,10 +261,13 @@ def batch_run(
     With weights, returns per-cycle weighted leakage for cycles in
     [window[0], window[1]); execution stops at halt or at the window end,
     whichever comes first.  Raises StepLimitExceeded when max_steps stops
-    a run before either, and MachineError for an address beyond memory.
+    a run before either, MachineError for an address beyond memory, and
+    ValueError for fewer than one run.
     """
     if program.word_width > 8:
         raise ValueError("batch engine supports word widths up to 8")
+    if n_runs < 1:
+        raise ValueError(f"need at least one run, got {n_runs}")
     mask = (1 << program.word_width) - 1
     dtype = np.uint8
     mem = (

@@ -249,6 +249,22 @@ def test_lab_window_label_missing(capsys, gate_file, tmp_path):
     assert "no label 'sbx'" in rep["lab"]["error"]
 
 
+def test_lab_success_rate_zero_traces(capsys):
+    code, rep = _run(capsys, ["lab", "success-rate", "corpus/present80.asm", "-grid", "0",
+                              "-window", "sbox"])
+    assert code == cli.EXIT_SIMULATE
+    assert "at least 2 traces" in rep["lab"]["error"]
+
+
+def test_lab_traces_zero_runs(capsys, tmp_path):
+    out = tmp_path / "t.bin"
+    code, rep = _run(capsys, ["lab", "traces", "corpus/present80.asm", "-n", "0", "-o", str(out),
+                              "-window", "sbox"])
+    assert code == cli.EXIT_SIMULATE
+    assert "at least one run" in rep["lab"]["error"]
+    assert not out.exists()
+
+
 def test_transform_output_unwritable(capsys, gate_file, tmp_path):
     out = tmp_path / "missing" / "out.asm"
     code, rep = _run(capsys, ["-d", "-o", str(out), gate_file])

@@ -4,6 +4,7 @@ curves, per-bit profiling, and trace file I/O."""
 import numpy as np
 import pytest
 
+from dualrail import lab
 from dualrail.lab import (
     ADMISSIBLE_PAIRS,
     DEFAULT_NOISE_SIGMA,
@@ -22,8 +23,13 @@ from dualrail.lab import (
     synth_traces,
     write_curve_csv,
 )
-from dualrail.present import build_corpus, first_round_subkey_nibble
-from dualrail.asm import resolve
+from dualrail.present import (
+    LABEL_SBOX,
+    build_corpus,
+    first_round_subkey_nibble,
+    loop_iteration_window,
+)
+from dualrail.asm import parse, resolve
 
 from conftest import TEST_KEY
 
@@ -200,6 +206,8 @@ def test_success_rate_grid_shape(linked_unprotected, sbox_window_u):
     assert all(0.0 <= r <= 1.0 for _, r in curve)
     with pytest.raises(LabError):
         success_rate(linked_unprotected, TEST_KEY, m, [10], attacks_per_point=0)
+    with pytest.raises(LabError, match="at least 2 traces"):
+        success_rate(linked_unprotected, TEST_KEY, m, [50, 1], attacks_per_point=1)
 
 
 def test_rail_imbalance_degrades_protection(linked_dpl, canonical_cfg, sbox_window_d):
@@ -217,6 +225,77 @@ def test_rail_imbalance_degrades_protection(linked_dpl, canonical_cfg, sbox_wind
     assert rates == sorted(rates), rates
     assert rates[0] <= 0.5  # balanced: near the 1-in-4 tie-class chance level
     assert rates[-1] >= 0.9  # strongly imbalanced: attack recovers the nibble
+
+
+LOOP_XOR = (
+    "mov r1 #0\n"
+    "top: xor r2 !r1,0 !r1,64\n"
+    "mov !r1,456 r2\n"
+    "add r1 r1 #1\n"
+    "bne r1 #8 top\n"
+)
+
+
+@pytest.mark.parametrize(
+    "case, grid, attacks, budget_lanes, lanes",
+    [
+        # 100 lanes fit the budget: 3 and 2 attacks per batch, a partial
+        # last chunk, then attacks over the budget that run one per batch
+        ("slot", [30, 50, 150], 7, 100, [90, 90, 30, 100, 100, 100, 50] + [150] * 7),
+        ("dpl", [30, 45, 120], 5, 100, [90, 60, 90, 90, 45] + [120] * 5),
+        # no window end: one attack per batch whatever the budget
+        ("full", [8, 20], 3, 10**6, [8] * 3 + [20] * 3),
+    ],
+)
+def test_success_rate_equals_per_attack_runs(
+    case, grid, attacks, budget_lanes, lanes, request, monkeypatch
+):
+    """Packed campaigns give each attack the traces, scores and hit of
+    synth_traces + cpa_monobit under that attack's own seed."""
+    if case == "slot":
+        program = resolve(build_corpus()[2].program)
+        window, kw = loop_iteration_window(program, LABEL_SBOX), dict(slot=2)
+    elif case == "dpl":
+        program, window = request.getfixturevalue("linked_dpl"), request.getfixturevalue("sbox_window_d")
+        kw = dict(cfg=request.getfixturevalue("canonical_cfg"))
+    else:  # a loop over the first plaintext and key cells, run to its halt
+        program, window, kw = resolve(parse(LOOP_XOR)), None, {}
+    lo, hi = window or (0, 0)
+    monkeypatch.setattr(lab, "BATCH_BYTES", budget_lanes * (program.mem_size + 4 * (hi - lo)))
+    calls, attacked = [], []
+    run, attack = lab.batch_run, lab.cpa_monobit
+
+    def counted_run(p, n_runs, **opts):
+        calls.append(n_runs)
+        return run(p, n_runs, **opts)
+
+    def recorded_attack(ts, target):
+        attacked.append((ts, attack(ts, target)))
+        return attacked[-1][1]
+
+    monkeypatch.setattr(lab, "batch_run", counted_run)
+    monkeypatch.setattr(lab, "cpa_monobit", recorded_attack)
+
+    m = LeakModel(noise_sigma=2.0)
+    curve = success_rate(program, TEST_KEY, m, grid, attacks, seed=5, window=window, **kw)
+    monkeypatch.undo()
+    assert calls == lanes
+    assert len(attacked) == len(grid) * attacks
+    packed = iter(attacked)
+    for pi, n in enumerate(grid):
+        hits = 0
+        for a in range(attacks):
+            seed = np.random.SeedSequence(5, spawn_key=(pi, a))
+            ts = synth_traces(program, TEST_KEY, n, m, seed=seed, window=window, **kw)
+            res = cpa_monobit(ts, 0)
+            p_ts, p_res = next(packed)
+            np.testing.assert_array_equal(p_ts.traces, ts.traces)
+            np.testing.assert_array_equal(p_ts.plaintexts, ts.plaintexts)
+            assert p_ts.cycle_offset == ts.cycle_offset
+            np.testing.assert_array_equal(p_res.scores, res.scores)
+            assert p_res.success == res.success
+            hits += res.success
+        assert curve[pi] == (n, hits / attacks)
 
 
 def test_write_curve_csv(tmp_path):

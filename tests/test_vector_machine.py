@@ -155,6 +155,13 @@ def test_window_end_stops_without_raising():
     assert res.leakage.shape == (40, 2)
 
 
+def test_zero_runs_rejected():
+    # a branch used to index the empty lane vector and raise IndexError
+    for src in ("mov r1 #1\n", "top: add r1 r1 #1\nbne r1 #3 top\n"):
+        with pytest.raises(ValueError, match="at least one run"):
+            batch_run(resolve(parse(src)), 0, weights=(1.0,) * 8)
+
+
 @pytest.mark.parametrize(
     "src",
     [
