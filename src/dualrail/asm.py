@@ -66,7 +66,12 @@ OPS = {
 LOGICAL_OPS = ("and", "orr", "xor")
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"-?(0[xX][0-9a-fA-F]+|0[bB][01]+|[0-9]+)")
+_NAT = r"0[xX][0-9a-fA-F]+|0[bB][01]+|0|[1-9][0-9]*"  # what int(tok, 0) reads
+_NUM_RE = re.compile(rf"-?(?:{_NAT})")
+_LOC_RE = re.compile(rf"r([0-9]+)|@({_NAT})(?:-({_NAT}))?")
+
+#: directives whose arguments are cell locations (rN, @N or @lo-hi)
+LOCATION_DIRECTIVES = ("sensitive", "output")
 
 
 class ParseError(ValueError):
@@ -208,32 +213,28 @@ class Program:
                 return True
         return False
 
-    def declared_cells(self, name: str) -> tuple[tuple[str, int], ...]:
-        """All locations declared by ``;@<name> <loc>`` directives, in order.
-
-        Returns (kind, index) pairs with kind "reg" or "mem"; ``@lo-hi``
-        ranges are expanded inclusively.
-        """
-        locs: list[tuple[str, int]] = []
+    def declared_spans(self, name: str):
+        """(kind, lo, hi) of each location declared by ``;@<name> <loc>``
+        directives, in order; kind is "reg" or "mem", hi is inclusive."""
         for tags in self.directives.values():
             for tag in tags:
                 parts = tag.split()
                 if parts and parts[0] == name:
-                    for spec in parts[1:]:
-                        locs.extend(_parse_loc(spec))
-        return tuple(locs)
+                    yield from map(_parse_loc, parts[1:])
+
+    def declared_cells(self, name: str) -> tuple[tuple[str, int], ...]:
+        """All locations declared by ``;@<name> <loc>`` directives, in order,
+        as (kind, index) pairs; ``@lo-hi`` ranges are expanded."""
+        return tuple((kind, i) for kind, lo, hi in self.declared_spans(name) for i in range(lo, hi + 1))
 
 
-def _parse_loc(spec: str) -> list[tuple[str, int]]:
-    if spec.startswith("r"):
-        return [("reg", int(spec[1:]))]
-    if spec.startswith("@"):
-        body = spec[1:]
-        if "-" in body:
-            lo, hi = body.split("-", 1)
-            return [("mem", a) for a in range(int(lo, 0), int(hi, 0) + 1)]
-        return [("mem", int(body, 0))]
-    raise ValueError(f"bad location {spec!r} (expected rN, @N or @lo-hi)")
+def _parse_loc(spec: str) -> tuple[str, int, int]:
+    m = _LOC_RE.fullmatch(spec)
+    if m is None or (m[3] and int(m[3], 0) < int(m[2], 0)):
+        raise ValueError(f"bad location {spec!r} (expected rN, @N or @lo-hi with lo <= hi)")
+    if m[1] is not None:
+        return ("reg", int(m[1]), int(m[1]))
+    return ("mem", int(m[2], 0), int(m[3] or m[2], 0))
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def _parse_number(tok: str, line: int, col: int) -> int:
 
 def _parse_operand(tok: str, line: int, col: int) -> Operand:
     if tok.startswith("r"):
-        if not tok[1:].isdigit():
+        if not tok[1:].isdecimal():
             raise ParseError(f"bad register {tok!r}", line, col)
         return Register(int(tok[1:]))
     if tok.startswith("#"):
@@ -317,8 +318,9 @@ def _parse_instruction(text: str, line: int, col: int) -> Instruction:
 def parse(source: str) -> Program:
     """Parse assembly text into a Program.
 
-    Raises ParseError with line/column on malformed input, and for duplicate
-    label definitions.
+    Raises ParseError with line/column on malformed input, on a bad
+    ``;@sensitive``/``;@output`` location, and for duplicate label
+    definitions.
     """
     lines: list[Line] = []
     seen_labels: set[str] = set()
@@ -330,6 +332,7 @@ def parse(source: str) -> Program:
             comment = comment.strip()
             if comment.startswith("@"):
                 directive = comment[1:].strip()
+                _check_locations(directive, raw, lineno)
         text = text.strip()
         label = None
         if ":" in text:
@@ -348,6 +351,17 @@ def parse(source: str) -> Program:
         if label is not None or instruction is not None or directive is not None:
             lines.append(Line(label, instruction, directive))
     return Program(tuple(lines))
+
+
+def _check_locations(directive: str, raw: str, line: int) -> None:
+    words = list(re.finditer(r"\S+", directive))
+    if words and words[0].group() in LOCATION_DIRECTIVES:
+        for word in words[1:]:
+            try:
+                _parse_loc(word.group())
+            except ValueError as exc:
+                col = raw.rindex(directive) + word.start() + 1
+                raise ParseError(f";@{words[0].group()}: {exc}", line, col) from None
 
 
 def print_program(p: Program) -> str:
@@ -370,7 +384,8 @@ def print_program(p: Program) -> str:
 
 def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024, word_width: int = 8) -> LinkedProgram:
     """Replace label references by absolute instruction indices and validate
-    operand ranges against the machine configuration."""
+    operand ranges and the declared ``;@sensitive``/``;@output`` cells
+    against the machine configuration."""
     table = p.label_table
     instrs = p.instructions
     n = len(instrs)
@@ -396,6 +411,9 @@ def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024, word_width: i
                 _check_ranges(*key, f"instruction {idx} ({inst.opcode})", n_regs, mem_size, mask)
                 checked.add(key)
         resolved.append(inst)
+    for name in LOCATION_DIRECTIVES:
+        for kind, _lo, hi in p.declared_spans(name):
+            _check_ranges(Register(hi) if kind == "reg" else MemDirect(hi), False, f";@{name}", n_regs, mem_size, mask)
     return LinkedProgram(tuple(resolved), source=p, n_regs=n_regs, mem_size=mem_size, word_width=word_width)
 
 

@@ -16,8 +16,12 @@ One binary, three entry points:
     The measurement side: synthetic power traces, NICV maps, monobit
     CPA, success-rate curves and per-bit-line leakage profiling.
 
-Exit codes: 0 success, 1 parse error, 2 transform error, 3 balance
-verification found leaks, 4 simulation failure, 5 equivalence failure.
+Every run prints one JSON document on stdout, failures included: a failed
+stage adds ``{"<stage>": {"error": "..."}}`` to the report.  The exit
+code depends only on the stage that failed (``EXIT_CODES``): 0 success,
+1 usage (a bad command line) or parse error, 2 transform error, 3 verify
+(not balanced, or it could not run), 4 simulate or lab failure, 5
+equivalence failure.  ``-h`` prints help and exits 0.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .asm import ADAPTERS, LinkError, ParseError, parse, print_program, resolve
+from .asm import ADAPTERS, ParseError, parse, print_program, resolve
 from .dpl import DplConfig, TransformError, transform
 from .equivalence import DplStateMap, check
 from .lab import (
@@ -44,7 +49,7 @@ from .lab import (
     synth_traces,
     write_curve_csv,
 )
-from .machine import MachineError, MachineState, run
+from .machine import MachineError, MachineState, run, write_events_csv
 from .present import (
     LABEL_ROUND,
     LABEL_SBOX,
@@ -62,9 +67,19 @@ EXIT_LEAKY = 3
 EXIT_SIMULATE = 4
 EXIT_EQUIVALENCE = 5
 
-#: library errors that the lab and equiv commands report as a failed run
-#: (LabError is a ValueError)
-_RUN_ERRORS = (OSError, ValueError, MachineError, NonConstantTimeError)
+#: exit code of a failure, by the stage that failed
+EXIT_CODES = {
+    "usage": EXIT_PARSE,
+    "parse": EXIT_PARSE,
+    "transform": EXIT_TRANSFORM,
+    "verify": EXIT_LEAKY,
+    "simulate": EXIT_SIMULATE,
+    "lab": EXIT_SIMULATE,
+    "equivalence": EXIT_EQUIVALENCE,
+}
+
+#: errors that fail the running stage; anything else is a bug and propagates
+_STAGE_ERRORS = (OSError, ValueError, MachineError, NonConstantTimeError, VerifierError)
 
 #: fixed key used by lab commands when none is given, so examples are
 #: reproducible end to end
@@ -72,13 +87,31 @@ DEFAULT_LAB_KEY = 0x133457799BBCDFF1AABB
 
 
 class CliError(Exception):
-    """A user-facing error carrying the stage it occurred in and the
-    process exit code to use."""
+    """A failure of one stage, reported by main under the stage's name."""
 
-    def __init__(self, stage: str, message: str, code: int):
+    def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
-        self.code = code
+
+
+@contextmanager
+def _stage(name: str, context: str = ""):
+    """Run a block (or, as a decorator, a function) as stage `name`: its
+    errors become a CliError of that stage, the message prefixed with
+    `context`.  A ParseError or TransformError fails "parse" or "transform"
+    wherever it is raised."""
+    try:
+        yield
+    except _STAGE_ERRORS as exc:
+        stage = {ParseError: "parse", TransformError: "transform"}.get(type(exc), name)
+        raise CliError(stage, f"{context}: {exc}" if context else str(exc)) from exc
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Command-line errors are a failure of stage "usage"."""
+
+    def error(self, message):
+        raise CliError("usage", f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,43 +153,26 @@ def _add_adapter_flag(ap: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> DplConfig:
-    try:
-        cfg = DplConfig(
-            bit_f=args.bf,
-            bit_t=args.bt,
-            pattern_lo=args.po,
-            lut_base=args.la,
-            compact=args.cl,
-            scratch=(args.r1, args.r2, args.r3),
-        )
-        cfg.validate()
-        return cfg
-    except TransformError as exc:
-        raise CliError("transform", str(exc), EXIT_TRANSFORM) from exc
-
-
-def _read_source(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise CliError("parse", f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+    cfg = DplConfig(
+        bit_f=args.bf,
+        bit_t=args.bt,
+        pattern_lo=args.po,
+        lut_base=args.la,
+        compact=args.cl,
+        scratch=(args.r1, args.r2, args.r3),
+    )
+    cfg.validate()
+    return cfg
 
 
 def _parse_program(path: str, adapter_name):
-    text = _read_source(path)
     parser_fn = ADAPTERS[adapter_name].parse if adapter_name else parse
-    try:
-        return parser_fn(text)
-    except ParseError as exc:
-        raise CliError("parse", f"{path}: {exc}", EXIT_PARSE) from exc
+    with _stage("parse", path), open(path) as fh:
+        return parser_fn(fh.read())
 
 
-def _resolve(program, args, stage: str, code: int):
-    try:
-        return resolve(program, n_regs=args.r, mem_size=args.m)
-    except LinkError as exc:
-        raise CliError(stage, str(exc), code) from exc
+def _resolve(program, args):
+    return resolve(program, n_regs=args.r, mem_size=args.m)
 
 
 def _parse_range(text: str, limit: int, what: str) -> range:
@@ -168,31 +184,27 @@ def _parse_range(text: str, limit: int, what: str) -> range:
         else:
             lo = int(text)
             hi = lo + 1
-    except ValueError as exc:
-        raise CliError("simulate", f"bad {what} range {text!r}: use LO:HI", EXIT_SIMULATE) from exc
+    except ValueError:
+        raise ValueError(f"bad {what} range {text!r}: use LO:HI") from None
     if not (0 <= lo <= hi <= limit):
-        raise CliError("simulate", f"{what} range {text!r} outside [0, {limit})", EXIT_SIMULATE)
+        raise ValueError(f"{what} range {text!r} outside [0, {limit})")
     return range(lo, hi)
 
 
 def _parse_key(text: str) -> int:
     try:
         return int(text, 16)
-    except ValueError as exc:
-        raise CliError("lab", f"bad key {text!r}: expected hex", EXIT_SIMULATE) from exc
+    except ValueError:
+        raise ValueError(f"bad key {text!r}: expected hex") from None
 
 
 def _parse_weights(text):
     if text is None:
         return (1.0,) * 8
     try:
-        weights = tuple(float(t) for t in text.split(","))
-    except ValueError as exc:
-        raise CliError("lab", f"bad weights {text!r}: expected comma-separated floats",
-                       EXIT_SIMULATE) from exc
-    if not weights:
-        raise CliError("lab", "empty weight list", EXIT_SIMULATE)
-    return weights
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad weights {text!r}: expected comma-separated floats") from None
 
 
 def _parse_lo_hi(text, choices=""):
@@ -201,22 +213,20 @@ def _parse_lo_hi(text, choices=""):
     try:
         lo_s, _, hi_s = text.partition(":")
         return (int(lo_s), int(hi_s))
-    except ValueError as exc:
-        raise CliError("lab", f"bad window {text!r}: use {choices}LO:HI",
-                       EXIT_SIMULATE) from exc
+    except ValueError:
+        raise ValueError(f"bad window {text!r}: use {choices}LO:HI") from None
 
 
 def _parse_window(text, linked):
     """'full', 'round', 'sbox', or absolute 'LO:HI' cycle bounds."""
     if text in (None, "full"):
         return None
-    labels = {"round": LABEL_ROUND, "sbox": LABEL_SBOX}
-    if text not in labels:
+    label = {"round": LABEL_ROUND, "sbox": LABEL_SBOX}.get(text)
+    if label is None:
         return _parse_lo_hi(text, "full, round, sbox or ")
-    try:
-        return loop_iteration_window(linked, labels[text])
-    except KeyError as exc:
-        raise CliError("lab", f"window {text}: {exc.args[0]}", EXIT_SIMULATE) from exc
+    if label not in linked.source.label_table:
+        raise ValueError(f"window {text}: no label {label!r} in program")
+    return loop_iteration_window(linked, label)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +234,7 @@ def _parse_window(text, linked):
 
 
 def _build_pipeline_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dualrail",
         allow_abbrev=False,
         description="Dual-rail-with-precharge transformer, balance verifier "
@@ -265,43 +275,30 @@ def _stage_lint(program, report: dict) -> None:
     }
 
 
+@_stage("transform")
 def _stage_transform(program, args, report: dict):
-    cfg = _config_from(args)
-    try:
-        transformed, tr = transform(program, cfg)
-    except TransformError as exc:
-        raise CliError("transform", str(exc), EXIT_TRANSFORM) from exc
+    transformed, tr = transform(program, _config_from(args))
     report["transform"] = json.loads(tr.to_json())
     if args.o:
-        printer = ADAPTERS[args.a].print if args.a else print_program
-        try:
-            with open(args.o, "w") as fh:
-                fh.write(printer(transformed))
-        except OSError as exc:
-            raise CliError("transform", f"cannot write {args.o}: {exc}", EXIT_TRANSFORM) from exc
+        text = (ADAPTERS[args.a].print if args.a else print_program)(transformed)
+        with _stage("transform", f"cannot write {args.o}"), open(args.o, "w") as fh:
+            fh.write(text)
         report["transform"]["output"] = args.o
     return transformed
 
 
+@_stage("verify")
 def _stage_verify(program, args, report: dict) -> None:
-    cfg = _config_from(args)
-    linked = _resolve(program, args, "verify", EXIT_LEAKY)
-    try:
-        br = verify(linked, cfg=cfg)
-    except VerifierError as exc:
-        raise CliError("verify", str(exc), EXIT_LEAKY) from exc
+    br = verify(_resolve(program, args), cfg=_config_from(args))
     report["verify"] = json.loads(br.to_json())
     if br.verdict != "balanced":
-        raise CliError("verify", f"verdict {br.verdict}", EXIT_LEAKY)
+        raise CliError("verify", f"verdict {br.verdict}")
 
 
+@_stage("simulate")
 def _stage_simulate(program, args, report: dict) -> None:
-    linked = _resolve(program, args, "simulate", EXIT_SIMULATE)
     state = MachineState.fresh(args.r, args.m)
-    try:
-        result = run(linked, init=state, max_steps=5_000_000)
-    except MachineError as exc:
-        raise CliError("simulate", str(exc), EXIT_SIMULATE) from exc
+    result = run(_resolve(program, args), init=state, max_steps=5_000_000)
     final = result.final_state
     sim = {"cycles": final.cycle, "instructions_executed": result.instruction_count}
     if args.M:
@@ -311,13 +308,8 @@ def _stage_simulate(program, args, report: dict) -> None:
         cells = _parse_range(args.R, args.r, "register")
         sim["registers"] = {str(i): f"0x{final.registers[i]:02x}" for i in cells}
     if args.events_csv:
-        from .machine import write_events_csv
-
-        try:
+        with _stage("simulate", f"cannot write {args.events_csv}"):
             write_events_csv(result.events, args.events_csv)
-        except OSError as exc:
-            raise CliError("simulate", f"cannot write {args.events_csv}: {exc}",
-                           EXIT_SIMULATE) from exc
         sim["events_csv"] = args.events_csv
     report["simulate"] = sim
 
@@ -340,7 +332,7 @@ def _pipeline(args, report: dict) -> None:
 
 
 def _build_equiv_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dualrail equiv",
         allow_abbrev=False,
         description="Check that a transformed program computes the same "
@@ -358,18 +350,16 @@ def _build_equiv_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@_stage("equivalence")
 def _equiv(args, report: dict) -> None:
     cfg = _config_from(args)
-    orig = _resolve(_parse_program(args.original, args.a), args,
-                    "equivalence", EXIT_EQUIVALENCE)
-    trans = _resolve(_parse_program(args.transformed, args.a), args,
-                     "equivalence", EXIT_EQUIVALENCE)
+    orig = _resolve(_parse_program(args.original, args.a), args)
+    trans = _resolve(_parse_program(args.transformed, args.a), args)
     verdict = check(orig, trans, DplStateMap(cfg),
                     n_samples=args.n, seed=args.seed)
     report["equivalence"] = json.loads(verdict.to_json())
     if not verdict.passed:
-        raise CliError("equivalence", f"{len(verdict.failures)} mismatches",
-                       EXIT_EQUIVALENCE)
+        raise CliError("equivalence", f"{len(verdict.failures)} mismatches")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +390,7 @@ def _add_target_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _build_lab_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="dualrail lab",
         allow_abbrev=False,
         description="Synthetic side-channel measurement bench.",
@@ -460,10 +450,8 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _lab_program(args, stage="lab", code=EXIT_SIMULATE):
-    adapter = getattr(args, "a", None)
-    program = _parse_program(args.file, adapter)
-    linked = _resolve(program, args, stage, code)
+def _lab_program(args):
+    linked = _resolve(_parse_program(args.file, args.a), args)
     cfg = _config_from(args) if args.dpl else None
     key = _parse_key(args.key) if args.key else DEFAULT_LAB_KEY
     model = LeakModel(weights=_parse_weights(args.weights), noise_sigma=args.sigma)
@@ -524,8 +512,8 @@ def _lab_success_rate(args, report: dict) -> None:
     window = _parse_window(args.window, linked)
     try:
         grid = [int(t) for t in args.grid.split(",")]
-    except ValueError as exc:
-        raise CliError("lab", f"bad grid {args.grid!r}", EXIT_SIMULATE) from exc
+    except ValueError:
+        raise ValueError(f"bad grid {args.grid!r}") from None
     curve = success_rate(linked, key, model, grid,
                          attacks_per_point=args.attacks, seed=args.seed,
                          target=args.nibble, window=window, cfg=cfg,
@@ -564,43 +552,32 @@ _LAB_COMMANDS = {
 }
 
 
+@_stage("lab")
+def _lab(args, report: dict) -> None:
+    _LAB_COMMANDS[args.command](args, report)
+
+
 # ---------------------------------------------------------------------------
 
 
-def _reported(handler, args, stage=None, code=None) -> int:
-    """Run handler(args, report), print the report as one JSON document and
-    return the exit code.
-
-    A CliError is recorded under its own stage with its own code.  Given a
-    stage, a library error (_RUN_ERRORS) is recorded under that stage and
-    returns `code`; without one it propagates after the report is printed.
-    """
+def main(argv=None) -> int:
+    """Run one command, print its report as one JSON document and return
+    the exit code: EXIT_OK, or EXIT_CODES of the stage that failed."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     report: dict = {}
+    code = EXIT_OK
     try:
-        handler(args, report)
+        if argv[:1] == ["lab"]:
+            _lab(_build_lab_parser().parse_args(argv[1:]), report)
+        elif argv[:1] == ["equiv"]:
+            _equiv(_build_equiv_parser().parse_args(argv[1:]), report)
+        else:
+            _pipeline(_build_pipeline_parser().parse_args(argv), report)
     except CliError as exc:
         report.setdefault(exc.stage, {})["error"] = str(exc)
-        return exc.code
-    except _RUN_ERRORS as exc:
-        if stage is None:
-            raise
-        report.setdefault(stage, {})["error"] = str(exc)
-        return code
-    finally:
-        print(json.dumps(report, indent=2))
-    return EXIT_OK
-
-
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lab":
-        args = _build_lab_parser().parse_args(argv[1:])
-        return _reported(_LAB_COMMANDS[args.command], args, "lab", EXIT_SIMULATE)
-    if argv and argv[0] == "equiv":
-        args = _build_equiv_parser().parse_args(argv[1:])
-        return _reported(_equiv, args, "equivalence", EXIT_EQUIVALENCE)
-    return _reported(_pipeline, _build_pipeline_parser().parse_args(argv))
+        code = EXIT_CODES[exc.stage]
+    print(json.dumps(report, indent=2))
+    return code
 
 
 if __name__ == "__main__":

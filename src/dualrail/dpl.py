@@ -89,7 +89,7 @@ class DplConfig:
             raise TransformError("rails must use distinct bits")
         if self.span not in (2, 3):
             raise TransformError(f"rail span {self.span} unsupported (pair field must fit 4 bits)")
-        if max(self.bit_f, self.bit_t) >= word_width:
+        if min(self.bit_f, self.bit_t) < 0 or max(self.bit_f, self.bit_t) >= word_width:
             raise TransformError("rail bit outside the word")
         if self.pattern_lo + 2 * self.span > word_width:
             raise TransformError(

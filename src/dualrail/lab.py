@@ -18,6 +18,7 @@ curve does not depend on that packing either.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -445,46 +446,44 @@ def profile_bits(
 # -- trace file I/O ---------------------------------------------------------
 
 
+def _row_dtype(n_cycles: int) -> np.dtype:
+    return np.dtype([("pt", "<u8"), ("t", "<f4", (n_cycles,))])
+
+
 def save_traces(path, traces: TraceSet) -> None:
     """Binary trace file: little-endian header {magic 'DPLT', version u32,
     n_runs u32, n_cycles u32, word_width u32}, then per run the 64-bit
     plaintext (little-endian words) followed by n_cycles float32 samples."""
     t = traces.traces
+    rows = np.empty(t.shape[0], dtype=_row_dtype(t.shape[1]))
+    rows["pt"] = traces.plaintexts
+    rows["t"] = t
     with open(path, "wb") as fh:
-        fh.write(TRACE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII", TRACE_VERSION, t.shape[0], t.shape[1], traces.word_width
-            )
-        )
-        for r in range(t.shape[0]):
-            fh.write(struct.pack("<Q", int(traces.plaintexts[r])))
-            fh.write(t[r].astype("<f4").tobytes())
-
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise LabError(f"truncated trace file: wanted {n} bytes, got {len(data)}")
-    return data
+        fh.write(TRACE_MAGIC + struct.pack("<IIII", TRACE_VERSION, *t.shape, traces.word_width))
+        fh.write(rows.tobytes())
 
 
 def load_traces(path) -> TraceSet:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != TRACE_MAGIC:
-            raise LabError(f"not a trace file (magic {magic!r})")
-        version, n_runs, n_cycles, width = struct.unpack("<IIII", _read_exact(fh, 16))
+        header = fh.read(20)
+        if header[:4] != TRACE_MAGIC:
+            raise LabError(f"not a trace file (magic {header[:4]!r})")
+        if len(header) != 20:
+            raise LabError(f"truncated trace file: header has {len(header)} of 20 bytes")
+        version, n_runs, n_cycles, width = struct.unpack("<4xIIII", header)
         if version != TRACE_VERSION:
             raise LabError(f"unsupported trace file version {version}")
-        pts = np.zeros(n_runs, dtype=np.uint64)
-        rows = np.zeros((n_runs, n_cycles), dtype=np.float32)
-        for r in range(n_runs):
-            (pts[r],) = struct.unpack("<Q", _read_exact(fh, 8))
-            rows[r] = np.frombuffer(_read_exact(fh, 4 * n_cycles), dtype="<f4")
+        need = n_runs * (8 + 4 * n_cycles)
+        have = os.fstat(fh.fileno()).st_size - 20
+        if have < need:
+            raise LabError(
+                f"truncated trace file: {n_runs} runs x {n_cycles} cycles need "
+                f"{need} bytes after the header, the file has {have}"
+            )
+        rows = np.frombuffer(fh.read(need), dtype=_row_dtype(n_cycles))
     return TraceSet(
-        traces=rows,
-        plaintexts=pts,
+        traces=rows["t"].astype(np.float32),
+        plaintexts=rows["pt"].astype(np.uint64),
         fixed_key=None,
         seed=None,
         word_width=width,

@@ -100,6 +100,8 @@ def test_tag_attaches_to_instruction():
         "mov #3 r1\n",  # immediate lvalue
         "jmp\n",  # missing target
         "mov r1 @x\n",  # bad address
+        "mov r1 #010\n",  # leading zero: int(tok, 0) rejects it
+        "mov r1 r\u00b2\n",  # a digit that is not decimal
     ],
 )
 def test_parse_errors(bad):
@@ -125,6 +127,13 @@ def test_parse_error_carries_line_number():
     assert "line 2" in str(e.value)
 
 
+@pytest.mark.parametrize("spec", ["foo", "r", "rx", "r-1", "@", "@x", "@1-", "@-1", "@010", "@5-3", "r1-2"])
+def test_bad_directive_location_is_a_parse_error(spec):
+    with pytest.raises(ParseError, match=f"line 2, col 13: ;@sensitive: .*{spec}"):
+        parse(f"nop\n;@sensitive {spec}\nnop\n")
+    parse(f";@public {spec}\n")  # only location directives are checked
+
+
 def test_resolve_labels_to_indices():
     p = parse("top: nop\nbeq r1 r2 top\njmp #0\n")
     lp = resolve(p)
@@ -144,6 +153,20 @@ def test_resolve_rejects_out_of_range():
         resolve(parse("mov @2000 #0\n"), mem_size=1024)
     with pytest.raises(LinkError):
         resolve(parse("jmp #99\n"))
+
+
+@pytest.mark.parametrize(
+    "directive, message",
+    [
+        (";@sensitive @1024", ";@sensitive: address @1024 out of range"),
+        (";@sensitive @1000-1024", ";@sensitive: address @1024 out of range"),
+        (";@output r32", ";@output: register r32 out of range"),
+    ],
+)
+def test_resolve_rejects_declared_cell_out_of_range(directive, message):
+    with pytest.raises(LinkError, match=message):
+        resolve(parse(f"{directive}\nnop\n"), n_regs=32, mem_size=1024)
+    resolve(parse(f"{directive}\nnop\n"), n_regs=33, mem_size=1025)
 
 
 def test_avr_adapter_round_trip():

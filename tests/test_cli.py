@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process via cli.main(argv)."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -280,3 +281,61 @@ def test_events_csv_unwritable(capsys, tmp_path):
     code, rep = _run(capsys, ["-s", "--events-csv", str(out), str(p)])
     assert code == cli.EXIT_SIMULATE
     assert "cannot write" in rep["simulate"]["error"]
+
+
+# -- one failure table: every bad input is one JSON report and its code -----
+
+_INPUTS = {
+    "gate.asm": GATE,
+    "badloc.asm": ";@sensitive foo\nand @2 @0 @1\n",
+    "mem5000.asm": ";@sensitive @5000\nand @2 @0 @1\n",
+    "r40.asm": ";@sensitive r40 @100-101\n;@output @102\nand @102 @100 @101\n",
+    "out5000.asm": ";@output @5000\nmov @2 #1\n",
+    "leadzero.asm": "mov r1 #010\n",
+}
+
+FAILURES = [
+    # command-line errors, for each entry point
+    pytest.param(["-r", "x", "gate.asm"], "usage", id="pipeline-bad-value"),
+    pytest.param(["--bogus", "gate.asm"], "usage", id="pipeline-unknown-flag"),
+    pytest.param(["-d"], "usage", id="pipeline-missing-file"),
+    pytest.param(["equiv", "-n", "x", "gate.asm", "gate.asm"], "usage", id="equiv-bad-value"),
+    pytest.param(["equiv", "--bogus", "gate.asm", "gate.asm"], "usage", id="equiv-unknown-flag"),
+    pytest.param(["equiv", "gate.asm"], "usage", id="equiv-missing-file"),
+    pytest.param(["lab", "nicv", "-i", "huge.bin", "-nibble", "x"], "usage", id="lab-bad-value"),
+    pytest.param(["lab", "profile", "--bogus"], "usage", id="lab-unknown-flag"),
+    pytest.param(["lab", "traces", "-o", "t.bin"], "usage", id="lab-missing-file"),
+    # inputs that once ended in a traceback
+    pytest.param(["-d", "badloc.asm"], "parse", id="bad-directive-location"),
+    pytest.param(["-v", "mem5000.asm"], "verify", id="verify-sensitive-cell-out-of-range"),
+    pytest.param(["equiv", "r40.asm", "r40.asm"], "equivalence", id="equiv-sensitive-register-out-of-range"),
+    pytest.param(["lab", "nicv", "-i", "huge.bin"], "lab", id="trace-header-larger-than-file"),
+    # one library error per pipeline stage
+    pytest.param(["-l", "leadzero.asm"], "parse", id="parse-leading-zero"),
+    pytest.param(["-d", "-bf", "-1", "-bt", "-2", "-po", "-2", "gate.asm"], "transform",
+                 id="transform-negative-rails"),
+    pytest.param(["-v", "out5000.asm"], "verify", id="verify-output-cell-out-of-range"),
+    pytest.param(["-s", "r40.asm"], "simulate", id="simulate-sensitive-register-out-of-range"),
+]
+
+
+@pytest.mark.parametrize("argv, stage", FAILURES)
+def test_failure_is_one_json_report(capsys, tmp_path, monkeypatch, argv, stage):
+    for name, text in _INPUTS.items():
+        (tmp_path / name).write_text(text)
+    # a 20-byte trace file whose header claims 10^6 runs of 10^6 cycles
+    (tmp_path / "huge.bin").write_bytes(b"DPLT" + struct.pack("<IIII", 1, 10**6, 10**6, 8))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    report = json.loads(out)  # exactly one JSON document
+    assert (code, err) == (cli.EXIT_CODES[stage], "")
+    assert "error" in report[stage]
+    assert [k for k, v in report.items() if "error" in v] == [stage]
+
+
+def test_help_is_not_a_failure(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lab", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dualrail lab")

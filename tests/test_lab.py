@@ -1,6 +1,8 @@
 """Side-channel evaluation tests: NICV, SNR, monobit CPA, success-rate
 curves, per-bit profiling, and trace file I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -361,4 +363,37 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a trace file")
     with pytest.raises(LabError):
+        load_traces(path)
+
+
+def _save_traces_per_row(path, ts):
+    """The trace file as the first writer made it: one struct call per row."""
+    with open(path, "wb") as fh:
+        fh.write(b"DPLT" + struct.pack("<IIII", 1, ts.n_runs, ts.n_cycles, ts.word_width))
+        for r in range(ts.n_runs):
+            fh.write(struct.pack("<Q", int(ts.plaintexts[r])))
+            fh.write(ts.traces[r].astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("n_runs, n_cycles", [(0, 0), (0, 3), (3, 0), (7, 13)])
+def test_trace_file_bytes_unchanged(tmp_path, n_runs, n_cycles):
+    rng = np.random.default_rng(n_runs + n_cycles)
+    ts = TraceSet(rng.normal(size=(n_runs, n_cycles)), rng.integers(0, 2**64, n_runs, dtype=np.uint64),
+                  fixed_key=None, seed=None)
+    old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+    _save_traces_per_row(old, ts)
+    save_traces(new, ts)
+    assert new.read_bytes() == old.read_bytes()
+    back = load_traces(old)
+    assert np.array_equal(back.traces, ts.traces) and back.traces.dtype == np.float32
+    assert np.array_equal(back.plaintexts, ts.plaintexts) and back.plaintexts.dtype == np.uint64
+
+
+def test_load_checks_header_against_file_size(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"DPLT" + struct.pack("<IIII", 1, 10**6, 10**6, 8))
+    with pytest.raises(LabError, match="truncated trace file: 1000000 runs x 1000000 cycles"):
+        load_traces(path)
+    path.write_bytes(b"DPLT" + struct.pack("<III", 1, 0, 0))
+    with pytest.raises(LabError, match="truncated trace file: header has 16 of 20"):
         load_traces(path)
