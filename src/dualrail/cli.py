@@ -117,6 +117,22 @@ class _ArgumentParser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # shared argument groups
 
+#: largest register file and memory, in cells: addresses stay 16-bit
+MAX_CELLS = 1 << 16
+
+
+def _int_in(lo: int, hi: int):
+    """argparse type: an int from lo to hi - 1, else a usage error."""
+
+    def parse(text):
+        v = int(text)
+        if not lo <= v < hi:
+            raise argparse.ArgumentTypeError(f"{v} is not from {lo} to {hi - 1}")
+        return v
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
 
 def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-bf", type=int, default=1, metavar="N",
@@ -139,10 +155,10 @@ def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _add_machine_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("-r", type=int, default=32, metavar="N",
-                    help="register file size (default 32)")
-    ap.add_argument("-m", type=int, default=1024, metavar="N",
-                    help="memory size in cells (default 1024)")
+    ap.add_argument("-r", type=_int_in(1, MAX_CELLS + 1), default=32, metavar="N",
+                    help=f"register file size, at most {MAX_CELLS} (default 32)")
+    ap.add_argument("-m", type=_int_in(1, MAX_CELLS + 1), default=1024, metavar="N",
+                    help=f"memory size in cells, at most {MAX_CELLS} (default 1024)")
 
 
 def _add_adapter_flag(ap: argparse.ArgumentParser) -> None:
@@ -153,6 +169,10 @@ def _add_adapter_flag(ap: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> DplConfig:
+    for flag in ("r1", "r2", "r3"):
+        reg = getattr(args, flag)
+        if not 0 <= reg < args.r:
+            raise CliError("usage", f"argument -{flag}: {reg} is not from 0 to {args.r - 1} (-r)")
     cfg = DplConfig(
         bit_f=args.bf,
         bit_t=args.bt,
@@ -374,13 +394,17 @@ def _add_model_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-seed", type=int, default=0, help="random seed (default 0)")
 
 
+#: the 16 nibbles of a 64-bit plaintext
+_NIBBLE = _int_in(0, 16)
+
+
 def _add_target_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-key", metavar="HEX", default=None,
                     help=f"fixed key (default {DEFAULT_LAB_KEY:020x})")
-    ap.add_argument("-slot", type=int, default=0,
-                    help="bit line carrying the cipher state (default 0)")
-    ap.add_argument("-nibble", type=int, default=0,
-                    help="plaintext/key nibble under attack (default 0)")
+    ap.add_argument("-slot", type=_int_in(0, 8), default=0,
+                    help="bit line carrying the cipher state, 0 to 7 (default 0)")
+    ap.add_argument("-nibble", type=_NIBBLE, default=0,
+                    help="plaintext/key nibble under attack, 0 to 15 (default 0)")
     ap.add_argument("-window", metavar="SPEC", default=None,
                     help="trace window: full, round, sbox, or LO:HI cycles "
                          "(default full)")
@@ -411,16 +435,16 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     nv = sub.add_parser("nicv", allow_abbrev=False,
                         help="normalized interclass variance per cycle")
     nv.add_argument("-i", metavar="FILE", required=True, help="input trace file")
-    nv.add_argument("-nibble", type=int, default=0,
-                    help="plaintext nibble used as the class label (default 0)")
+    nv.add_argument("-nibble", type=_NIBBLE, default=0,
+                    help="plaintext nibble used as the class label, 0 to 15 (default 0)")
     nv.add_argument("-o", metavar="FILE", default=None,
                     help="write the per-cycle curve as CSV")
 
     cp = sub.add_parser("cpa", allow_abbrev=False,
                         help="monobit correlation attack on a saved trace set")
     cp.add_argument("-i", metavar="FILE", required=True, help="input trace file")
-    cp.add_argument("-nibble", type=int, default=0,
-                    help="key nibble under attack (default 0)")
+    cp.add_argument("-nibble", type=_NIBBLE, default=0,
+                    help="key nibble under attack, 0 to 15 (default 0)")
     cp.add_argument("-key", metavar="HEX", default=None,
                     help="true key, to score the attack (trace files carry no key)")
     cp.add_argument("-window", metavar="LO:HI", default=None,

@@ -40,8 +40,13 @@ from .vector_machine import batch_run
 DEFAULT_NOISE_SIGMA = 2.0
 
 #: bytes one packed success-rate batch may hold: each lane carries its
-#: memory column and its float32 leakage column over the window
+#: memory column and its float32 leakage column over the window.  The
+#: engine's recording block comes on top: ``vector_machine.BLOCK_BYTES``
+#: up to a few thousand lanes, 28 slots of 13 bytes a lane beyond
 BATCH_BYTES = 16 << 20
+
+#: float64 bytes one NICV chunk of cycles converts at a time
+NICV_CHUNK_BYTES = 16 << 20
 
 TRACE_MAGIC = b"DPLT"
 TRACE_VERSION = 1
@@ -201,23 +206,27 @@ def nicv(traces: TraceSet, classifier) -> np.ndarray:
     """Normalized inter-class variance per cycle: Var[E[L|V]] / Var[L],
     where V is the class label assigned to each run by `classifier`.
     Cycles with zero total variance report 0 by convention.  Values lie
-    in [0, 1]."""
+    in [0, 1].
+
+    Cycles are taken in chunks of about NICV_CHUNK_BYTES of float64, and
+    the class sums of a chunk are one matmul with the one-hot class
+    matrix, so the cost does not depend on the trace matrix's layout."""
     labels = np.asarray([classifier(int(p)) for p in traces.plaintexts])
     classes, inverse = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise LabError("need at least two populated classes")
-    t = traces.traces.astype(np.float64)
-    n, _ = t.shape
-    counts = np.bincount(inverse).astype(np.float64)
-    sums = np.zeros((len(classes), t.shape[1]))
-    np.add.at(sums, inverse, t)
-    class_means = sums / counts[:, None]
-    grand_mean = t.mean(axis=0)
-    between = ((class_means - grand_mean) ** 2 * counts[:, None]).sum(axis=0) / n
-    total = t.var(axis=0)
-    out = np.zeros_like(total)
-    nz = total > 0
-    out[nz] = between[nz] / total[nz]
+    n, n_cycles = traces.traces.shape
+    counts = np.bincount(inverse).astype(np.float64)[:, None]
+    onehot = np.zeros((len(classes), n))
+    onehot[inverse, np.arange(n)] = 1.0
+    out = np.zeros(n_cycles)
+    step = max(1, NICV_CHUNK_BYTES // (8 * n))
+    for lo in range(0, n_cycles, step):
+        t = traces.traces[:, lo : lo + step].astype(np.float64)
+        between = ((onehot @ t / counts - t.mean(axis=0)) ** 2 * counts).sum(axis=0) / n
+        total = t.var(axis=0)
+        nz = total > 0
+        out[lo : lo + step][nz] = between[nz] / total[nz]
     return np.clip(out, 0.0, 1.0)
 
 

@@ -6,19 +6,56 @@ the verifier's cross-validation all run on it.  Opcode semantics come from
 ``asm.OPS``, applied to whole uint8 lanes; event accounting mirrors
 machine.step exactly (dual-route tested against that reference).  Control
 flow must agree across all runs in the batch, which holds for the
-constant-time programs this package produces.  Optionally accumulates
-per-cycle weighted leakage over a cycle window, which is how trace
-synthesis stays fast enough for large attack campaigns.
+constant-time programs this package produces.
+
+Leakage is recorded, not summed, while the program runs.  Each event of a
+cycle in the window writes its raw byte into the next slot of a
+preallocated (slot x lanes) block: an update its flip mask (old xor new),
+a data-bus event the value moved, an indexed address-bus event the flat
+cell index.  A direct address is the same in every lane, so its slot holds
+nothing at run time.  Control flow is the same in every lane, so which
+slots an instruction fills, and of which kind, is fixed when it is
+compiled.  When the block fills, or the window ends, it is weighted at
+once: one table gather turns every byte into its float32 weight, and each
+cycle's weights are then added one by one in event order, starting from
+0.0, the order in which adding each event's weight as it happens would
+sum them.  float32 addition is not associative, and numpy's reductions
+may pair terms, so the adds are explicit: that keeps the sums
+bit-identical (sha256 pins in tests/test_vector_machine.py).
+
+Each instruction is compiled into closures when it first runs,
+specialised on operand kind and on whether leakage and bus events are
+recorded, so a run without leakage pays for no recording and the run-up
+to a trace window compiles only what it executes.
 """
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .asm import OPS, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
 from .machine import MachineError, StepLimitExceeded
+
+#: bytes of one recording block: per slot and lane a data byte, a flat
+#: cell index and a float32 weight
+BLOCK_BYTES = 2 << 20
+_SLOT_LANE_BYTES = 1 + np.dtype(np.intp).itemsize + 4
+#: slots a block holds at most: with few lanes, more would only cost
+#: setting up their row views
+_BLOCK_SLOTS = 4096
+#: bytes of one piece of the leakage matrix of an open window end: above
+#: the largest mmap threshold of glibc's malloc (32 MiB)
+PIECE_BYTES = 40 << 20
+#: slots one instruction fills at most: two loads of an address and a
+#: data slot each, and a store of address, data and flips
+_MAX_SLOTS = 7
+
+#: slot codes of the event layout: a data byte, an indexed address; a
+#: code >= 0 is a direct address and is its own value
+_DATA, _ADDR = -1, -2
 
 
 class NonConstantTimeError(RuntimeError):
@@ -35,12 +72,15 @@ class BatchResult:
 
 
 def _weight_tables(weights, width: int, mem_size: int, include_bus: bool):
+    """float32 weight of every byte value (all 256: a byte beyond the word
+    weighs its low bits) and of every address.  Adding 0.0 turns a -0.0
+    into 0.0, as the reference's sum starting from 0.0 does."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (width,):
         raise ValueError(f"need {width} per-bit weights")
-    vals = np.arange(1 << width)
+    vals = np.arange(256)
     bits = (vals[:, None] >> np.arange(width)) & 1
-    wtab = (bits * w).sum(axis=1).astype(np.float32)
+    wtab = ((bits * w).sum(axis=1) + 0.0).astype(np.float32)
     atab = None
     if include_bus:
         addrs = np.arange(mem_size)
@@ -51,36 +91,8 @@ def _weight_tables(weights, width: int, mem_size: int, include_bus: bool):
         while hi.any():
             atab += hi & 1
             hi = hi >> 1
-        atab = atab.astype(np.float32)
+        atab = (atab + 0.0).astype(np.float32)
     return wtab, atab
-
-
-class _Ctx:
-    """Shared mutable execution context for the compiled closures."""
-
-    __slots__ = ("regs", "mem", "ar", "mask", "row", "wtab", "atab", "bus")
-
-    def __init__(self, regs, mem, mask, wtab, atab, bus):
-        self.regs = regs
-        self.mem = mem
-        self.ar = np.arange(regs.shape[1])
-        self.mask = mask
-        self.row = None
-        self.wtab = wtab
-        self.atab = atab
-        self.bus = bus
-
-    def emit_flips(self, flips):
-        if self.row is not None:
-            self.row += self.wtab[flips]
-
-    def emit_abus(self, addr):
-        if self.row is not None and self.bus:
-            self.row += self.atab[addr]
-
-    def emit_dbus(self, value):
-        if self.row is not None and self.bus:
-            self.row += self.wtab[value]
 
 
 def _fixed(op, mem_size: int):
@@ -94,128 +106,274 @@ def _fixed(op, mem_size: int):
     return op
 
 
-def _indexed(regs, b: int, off: int, mem_size: int):
-    addr = regs[b].astype(np.intp) + off
-    if addr.max(initial=0) >= mem_size:
-        raise MachineError(f"indexed address beyond memory (r{b} + {off})")
-    return addr
+class _Block:
+    """The recording block of a run with leakage, and its weighting."""
+
+    def __init__(self, lanes: int, wtab, atab):
+        fit = BLOCK_BYTES // (_SLOT_LANE_BYTES * lanes)
+        self.slots = min(_BLOCK_SLOTS, max(4 * _MAX_SLOTS, fit))
+        self.data = np.zeros((self.slots, lanes), dtype=np.uint8)
+        self.cells = np.zeros((self.slots, lanes), dtype=np.intp)
+        self.weights = np.empty((self.slots, lanes), dtype=np.float32)
+        self.lanes, self.wtab, self.atab = lanes, wtab, atab
+
+    def run(self, make, pc: int, cycle: int, stop: int, n: int, leak, row: int):
+        """Run from pc at `cycle` until halt or `stop`, recording every
+        cycle from `row` on; returns (pc, cycle, leakage).  `leak` is the
+        preallocated matrix of a fixed window end, or None to fill pieces
+        of PIECE_BYTES and join them at the end."""
+        # per pc: closure, slot count and slot codes, filled when first run
+        fns, count, layout = [None] * n, [0] * n, [()] * n
+        full = self.slots - _MAX_SLOTS
+        pieces, out = [], leak
+        if leak is None:
+            rows = max(self.slots, PIECE_BYTES // (4 * self.lanes))
+            out = np.zeros((0, self.lanes), dtype=np.float32)
+        while pc < n and cycle < stop:
+            trace, k = [], 0
+            last = min(stop, cycle + self.slots)
+            while pc < n and cycle < last and k <= full:
+                f = fns[pc]
+                if f is None:
+                    f, slots = make(pc)
+                    fns[pc], count[pc], layout[pc] = f, len(slots), slots
+                trace.append(pc)
+                j = k
+                k += count[pc]
+                pc = f(j)
+                cycle += 1
+            if row + len(trace) > len(out):  # only an open end's piece fills
+                if row:
+                    pieces.append(out[:row])
+                out, row = np.zeros((rows, self.lanes), dtype=np.float32), 0
+            self.weigh(trace, count, layout, k, out[row : row + len(trace)])
+            row += len(trace)
+        if leak is None:
+            # the allocator unmaps a piece of PIECE_BYTES as soon as it is
+            # freed: copied out one at a time, the pieces and the matrix
+            # peak near one matrix plus one piece
+            pieces.append(out[:row])
+            del out
+            total = sum(map(len, pieces))
+            leak = pieces.pop() if len(pieces) == 1 else np.empty((total, self.lanes), np.float32)
+            at = 0
+            while pieces:
+                p = pieces.pop(0)
+                leak[at : at + len(p)] = p
+                at += len(p)
+                del p
+        return pc, cycle, leak
+
+    def weigh(self, trace, count, layout, k: int, out) -> None:
+        """Write into out[c] the weighted leakage of the c-th cycle of
+        `trace` (the pcs run), whose events filled the first k slots;
+        count[pc] and layout[pc] are an instruction's slots."""
+        count = np.fromiter(map(count.__getitem__, trace), np.intp, len(trace))
+        starts = np.cumsum(count) - count
+        w = self.weights[:k]
+        bus = self.atab is not None
+        if bus:
+            codes = np.fromiter(chain.from_iterable(map(layout.__getitem__, trace)), np.intp, k)
+            at, ct = np.flatnonzero(codes == _ADDR), np.flatnonzero(codes >= 0)
+            addr_w = self.atab.take(self.cells[at] // self.lanes)
+        # the gather reads intp indices; widening the bytes into the cell
+        # rows, read by now, spares numpy a temporary of that size per block
+        idx = self.cells[:k]
+        idx[...] = self.data[:k]
+        self.wtab.take(idx, out=w, mode="clip")
+        if bus:
+            w[at] = addr_w
+            w[ct] = self.atab[codes[ct], None]
+        # cycles with the same slot count add their slots in order at once;
+        # a cycle without events keeps the zero row of `out`
+        for m in np.flatnonzero(np.bincount(count)[1:]) + 1:
+            c = np.flatnonzero(count == m)
+            s = starts[c]
+            acc = w[s]
+            for j in range(1, m):
+                acc += w[s + j]
+            out[c] = acc
 
 
-def _value_loader(op, ctx: _Ctx, mem_size: int):
-    """Returns a nullary closure producing the operand's value vector (or a
-    scalar for immediates), emitting bus activity for memory operands."""
-    op = _fixed(op, mem_size)
-    if isinstance(op, Register):
-        i = op.index
-        regs = ctx.regs
-        return lambda: regs[i]
-    if isinstance(op, Immediate):
-        v = op.value
-        return lambda: v
-    mem, ar = ctx.mem, ctx.ar
-    if isinstance(op, MemDirect):
-        a = op.address
+def _beyond(op) -> MachineError:
+    return MachineError(f"indexed address beyond memory (r{op.base.index} + {op.offset})")
 
-        def load_direct():
-            v = mem[a]
-            ctx.emit_abus(a)
-            ctx.emit_dbus(v)
+
+def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool):
+    """make(pc) -> (closure, slot codes) for instruction pc.  The closure
+    takes the index of its cycle's first slot in the block and returns the
+    next pc; without a block it records nothing and ignores the index.
+    Results of the OPS functions are stored as they come: on uint8 rows and
+    small immediates they stay uint8."""
+    mem_size, lanes = program.mem_size, regs.shape[1]
+    mask = (1 << program.word_width) - 1
+    flat = mem.reshape(-1)
+    scratch = np.empty(lanes, dtype=np.intp)
+    if block is not None:
+        data, cells = list(block.data), list(block.cells)
+    rec_bus = block is not None and bus
+    bases: dict = {}
+
+    def cell_index(op):
+        """Fills a flat index row (address * lanes + lane) for an indexed
+        operand; indexing `flat` with it raises IndexError exactly when an
+        address lies beyond memory."""
+        rb, off = regs[op.base.index], op.offset
+        base = bases.get(off)
+        if base is None:
+            base = bases[off] = np.arange(lanes) + off * lanes
+
+        def index(out):
+            out[...] = rb
+            out *= lanes
+            out += base
+            return out
+
+        return index
+
+    def load(op, j):
+        """Closure producing a source operand's value; its events start at
+        slot j of the instruction."""
+        op = _fixed(op, mem_size)
+        if isinstance(op, Immediate):
+            v = op.value
+            return (lambda k: v), ()
+        if isinstance(op, Register) or isinstance(op, MemDirect) and not rec_bus:
+            cell = regs[op.index] if isinstance(op, Register) else mem[op.address]
+            return (lambda k: cell), ()
+        if isinstance(op, MemDirect):
+            m = mem[op.address]
+
+            def load_direct(k):
+                data[k + j + 1][...] = m
+                return m
+
+            return load_direct, (op.address, _DATA)
+        index = cell_index(op)
+        if not rec_bus:
+
+            def load_indexed(k):
+                try:
+                    return flat[index(scratch)]
+                except IndexError:
+                    raise _beyond(op) from None
+
+            return load_indexed, ()
+
+        def load_indexed_rec(k):
+            try:
+                v = flat[index(cells[k + j])]
+            except IndexError:
+                raise _beyond(op) from None
+            data[k + j + 1][...] = v
             return v
 
-        return load_direct
-    b, off = op.base.index, op.offset
-    regs = ctx.regs
+        return load_indexed_rec, (_ADDR, _DATA)
 
-    def load_indexed():
-        addr = _indexed(regs, b, off, mem_size)
-        v = mem[addr, ar]
-        ctx.emit_abus(addr)
-        ctx.emit_dbus(v)
-        return v
+    def store(op, j):
+        """Closure storing a value vector/scalar into the destination and
+        recording its events from slot j of the instruction on."""
+        op = _fixed(op, mem_size)
+        if not isinstance(op, MemIndirect):
+            cell = regs[op.index] if isinstance(op, Register) else mem[op.address]
+            if block is None:
 
-    return load_indexed
+                def store_cell(v, k):
+                    cell[...] = v
 
+                return store_cell, ()
+            if isinstance(op, Register) or not bus:
 
-def _storer(op, ctx: _Ctx, mem_size: int):
-    """Returns a closure storing a value vector/scalar into the operand,
-    emitting the same events as the scalar machine."""
-    op = _fixed(op, mem_size)
-    if isinstance(op, Register):
-        i = op.index
-        regs = ctx.regs
+                def store_cell_flips(v, k):
+                    np.bitwise_xor(cell, v, out=data[k + j])
+                    cell[...] = v
 
-        def store_reg(v):
-            if ctx.row is not None:
-                ctx.emit_flips(regs[i] ^ v)
-            regs[i] = v
+                return store_cell_flips, (_DATA,)
 
-        return store_reg
-    mem, ar = ctx.mem, ctx.ar
-    if isinstance(op, MemDirect):
-        a = op.address
+            def store_cell_rec(v, k):
+                data[k + j + 1][...] = v
+                np.bitwise_xor(cell, v, out=data[k + j + 2])
+                cell[...] = v
 
-        def store_direct(v):
-            if ctx.row is not None:
-                ctx.emit_abus(a)
-                ctx.emit_dbus(v)
-                ctx.emit_flips(mem[a] ^ v)
-            mem[a] = v
+            return store_cell_rec, (op.address, _DATA, _DATA)
+        index = cell_index(op)
+        if block is None:
 
-        return store_direct
-    b, off = op.base.index, op.offset
-    regs = ctx.regs
+            def store_indexed(v, k):
+                try:
+                    flat[index(scratch)] = v
+                except IndexError:
+                    raise _beyond(op) from None
 
-    def store_indexed(v):
-        addr = _indexed(regs, b, off, mem_size)
-        if ctx.row is not None:
-            ctx.emit_abus(addr)
-            ctx.emit_dbus(v)
-            ctx.emit_flips(mem[addr, ar] ^ v)
-        mem[addr, ar] = v
+            return store_indexed, ()
+        # address, data bus and flips slots, or the flips slot alone
+        at_row, flips = (cells, j + 2) if bus else (None, j)
 
-    return store_indexed
+        def store_indexed_rec(v, k):
+            at = index(scratch if at_row is None else at_row[k + j])
+            try:
+                np.bitwise_xor(flat[at], v, out=data[k + flips])
+            except IndexError:
+                raise _beyond(op) from None
+            if at_row is not None:
+                data[k + j + 1][...] = v
+            flat[at] = v
 
+        return store_indexed_rec, (_ADDR, _DATA, _DATA) if bus else (_DATA,)
 
-def _compile(program: LinkedProgram, ctx: _Ctx):
-    """One closure per instruction; each returns the next pc.  Results of
-    the OPS functions are stored as they come: on uint8 rows and small
-    immediates they stay uint8."""
-    mem_size = program.mem_size
-    mask = ctx.mask
-    # one loader and one storer per distinct operand: long straight-line
-    # programs reuse few registers and each cell a few times
-    loaders: dict = {}
-    storers: dict = {}
+    # one closure per distinct operand and first slot: straight-line code
+    # reuses few registers and each cell a few times
+    operands: dict = {}
 
-    def loader(op):
-        f = loaders.get(op)
-        if f is None:
-            f = loaders[op] = _value_loader(op, ctx, mem_size)
-        return f
+    def operand(build, op, j):
+        got = operands.get((build, op, j))
+        if got is None:
+            got = operands[build, op, j] = build(op, j)
+        return got
 
-    def storer(op):
-        f = storers.get(op)
-        if f is None:
-            f = storers[op] = _storer(op, ctx, mem_size)
-        return f
-
-    fns = []
-    for pc, inst in enumerate(program.instructions):
-        spec = OPS[inst.opcode]
-        fn = spec.fn
-        nxt = pc + 1
-        if spec.kind == "nop":
-            fns.append(lambda nxt=nxt: nxt)
-        elif spec.kind == "jump":
-            t = inst.operands[0].index
-            fns.append(lambda t=t: t)
+    def decode(inst):
+        """kind, OPS function, operand closures, target and slot codes"""
+        spec, ops = OPS[inst.opcode], inst.operands
+        a = b = st = t = None
+        slots = ()
+        if spec.kind == "jump":
+            t = ops[0].index
         elif spec.kind == "branch":
-            la = loader(inst.operands[0])
-            lb = loader(inst.operands[1])
-            t = inst.operands[2].index
+            a, sa = operand(load, ops[0], 0)
+            b, sb = operand(load, ops[1], len(sa))
+            t, slots = ops[2].index, sa + sb
+        elif spec.kind == "unary":
+            a, sa = operand(load, ops[1], 0)
+            st, ss = operand(store, ops[0], len(sa))
+            slots = sa + ss
+        elif spec.kind == "binary":
+            a, sa = operand(load, ops[1], 0)
+            b, sb = operand(load, ops[2], len(sa))
+            st, ss = operand(store, ops[0], len(sa) + len(sb))
+            slots = sa + sb + ss
+        return spec.kind, spec.fn, a, b, st, t, slots
 
-            def f_br(la=la, lb=lb, fn=fn, t=t, nxt=nxt, pc=pc):
-                cond = fn(la(), lb(), mask)
+    # one decoding per instruction object: the transform shares its macros'
+    # fixed instructions between gates, and ids key the cache without
+    # hashing dataclasses
+    decoded: dict = {}
+
+    def make(pc):
+        inst = program.instructions[pc]
+        got = decoded.get(id(inst))
+        if got is None:
+            got = decoded[id(inst)] = decode(inst)
+        kind, fn, a, b, st, t, slots = got
+        nxt = pc + 1
+        # closures take their constants as defaults: no cells to create
+        if kind == "nop":
+            return (lambda k, nxt=nxt: nxt), slots
+        if kind == "jump":
+            return (lambda k, t=t: t), slots
+        if kind == "branch":
+
+            def f_br(k, la=a, lb=b, fn=fn, t=t, nxt=nxt, pc=pc):
+                cond = fn(la(k), lb(k), mask)
                 if isinstance(cond, np.ndarray):
                     first = bool(cond[0])
                     if not (cond == first).all():
@@ -223,27 +381,22 @@ def _compile(program: LinkedProgram, ctx: _Ctx):
                     cond = first
                 return t if cond else nxt
 
-            fns.append(f_br)
-        elif spec.kind == "unary":
-            load = loader(inst.operands[1])
-            store = storer(inst.operands[0])
+            return f_br, slots
+        if kind == "unary":
 
-            def f_unary(load=load, store=store, fn=fn, nxt=nxt):
-                store(fn(load(), mask))
+            def f_unary(k, ld=a, st=st, fn=fn, nxt=nxt):
+                st(fn(ld(k), mask), k)
                 return nxt
 
-            fns.append(f_unary)
-        else:
-            la = loader(inst.operands[1])
-            lb = loader(inst.operands[2])
-            store = storer(inst.operands[0])
+            return f_unary, slots
 
-            def f_binary(la=la, lb=lb, store=store, fn=fn, nxt=nxt):
-                store(fn(la(), lb(), mask))
-                return nxt
+        def f_binary(k, la=a, lb=b, st=st, fn=fn, nxt=nxt):
+            st(fn(la(k), lb(k), mask), k)
+            return nxt
 
-            fns.append(f_binary)
-    return fns
+        return f_binary, slots
+
+    return make
 
 
 def batch_run(
@@ -268,7 +421,6 @@ def batch_run(
         raise ValueError("batch engine supports word widths up to 8")
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
-    mask = (1 << program.word_width) - 1
     dtype = np.uint8
     mem = (
         np.zeros((program.mem_size, n_runs), dtype=dtype)
@@ -284,45 +436,36 @@ def batch_run(
         raise ValueError("bad init array shape")
 
     start, end = window
-    wtab = atab = None
-    leak = None
-    grow: list[np.ndarray] | None = None
+    stop = max_steps if end is None else min(max_steps, end)
+    n = len(program.instructions)
+    block = leak = None
     if weights is not None:
-        wtab, atab = _weight_tables(weights, program.word_width, program.mem_size, include_bus)
+        tables = _weight_tables(weights, program.word_width, program.mem_size, include_bus)
+        block = _Block(n_runs, *tables)
         if end is not None:
             leak = np.zeros((end - start, n_runs), dtype=np.float32)
-        else:
-            grow = []
-
-    ctx = _Ctx(regs, mem, mask, wtab, atab, include_bus)
-    # compiling allocates a few closures per instruction and no reference
-    # cycles; with the collector on, a long straight-line program would set
-    # off full collections over every live object
+    run_up = stop if block is None else min(start, stop)
+    pc = cycle = 0
+    # each instruction is compiled when first run, into a few closures and
+    # no reference cycles; with the collector on, a long straight-line
+    # program would set off full collections over every live object
     collecting = gc.isenabled()
     gc.disable()
     try:
-        fns = _compile(program, ctx)
+        make, fns = _compiler(program, regs, mem, None, False), [None] * n
+        while pc < n and cycle < run_up:
+            f = fns[pc]
+            if f is None:
+                f = fns[pc] = make(pc)[0]
+            pc = f(0)
+            cycle += 1
+        if block is not None:
+            make = _compiler(program, regs, mem, block, include_bus)
+            row = 0 if leak is None else max(0, cycle - start)
+            pc, cycle, leak = block.run(make, pc, cycle, stop, n, leak, row)
     finally:
         if collecting:
             gc.enable()
-    n = len(fns)
-    pc = 0
-    cycle = 0
-    stop = max_steps if end is None else min(max_steps, end)
-    while pc < n and cycle < stop:
-        if weights is not None and cycle >= start:
-            if leak is not None:
-                ctx.row = leak[cycle - start]
-            else:
-                row = np.zeros(n_runs, dtype=np.float32)
-                grow.append(row)
-                ctx.row = row
-        else:
-            ctx.row = None
-        pc = fns[pc]()
-        cycle += 1
     if pc < n and (end is None or cycle < end):
         raise StepLimitExceeded(f"no halt within {max_steps} steps")
-    if grow is not None:
-        leak = np.vstack(grow) if grow else np.zeros((0, n_runs), dtype=np.float32)
     return BatchResult(regs, mem, leak, cycle, start)

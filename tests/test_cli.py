@@ -292,6 +292,7 @@ _INPUTS = {
     "r40.asm": ";@sensitive r40 @100-101\n;@output @102\nand @102 @100 @101\n",
     "out5000.asm": ";@output @5000\nmov @2 #1\n",
     "leadzero.asm": "mov r1 #010\n",
+    "regs.asm": "mov r1 #1\n",
 }
 
 FAILURES = [
@@ -305,6 +306,16 @@ FAILURES = [
     pytest.param(["lab", "nicv", "-i", "huge.bin", "-nibble", "x"], "usage", id="lab-bad-value"),
     pytest.param(["lab", "profile", "--bogus"], "usage", id="lab-unknown-flag"),
     pytest.param(["lab", "traces", "-o", "t.bin"], "usage", id="lab-missing-file"),
+    # numeric flags out of range
+    pytest.param(["-s", "-m", "-3", "regs.asm"], "usage", id="memory-size-negative"),
+    pytest.param(["-s", "-m", "100000000000", "regs.asm"], "usage", id="memory-size-huge"),
+    pytest.param(["-s", "-r", "0", "regs.asm"], "usage", id="register-file-empty"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-slot", "9"], "usage",
+                 id="lab-slot-beyond-word"),
+    pytest.param(["lab", "cpa", "-i", "huge.bin", "-nibble", "99"], "usage",
+                 id="lab-nibble-beyond-plaintext"),
+    pytest.param(["-d", "-r1", "99", "gate.asm"], "usage", id="scratch-register-beyond-file"),
+    pytest.param(["-d", "-r1", "-3", "gate.asm"], "usage", id="scratch-register-negative"),
     # inputs that once ended in a traceback
     pytest.param(["-d", "badloc.asm"], "parse", id="bad-directive-location"),
     pytest.param(["-v", "mem5000.asm"], "verify", id="verify-sensitive-cell-out-of-range"),

@@ -95,6 +95,30 @@ def test_nicv_zero_variance_cycle_reports_zero():
     assert (vals >= 0).all() and (vals <= 1).all()
 
 
+def test_nicv_layout_and_chunks_agree(monkeypatch):
+    rng = np.random.default_rng(7)
+    n, c = 300, 50
+    t = (rng.integers(0, 9, size=(n, c)) + rng.normal(0.0, 0.5, size=(n, c))).astype(np.float32)
+    t[:, 3] = 2.0
+    pts = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    classify = nibble_classifier(0)
+    # direct per-class means, centred two-pass variance
+    x = t.astype(np.float64)
+    labels = pts & np.uint64(0xF)
+    grand = x.mean(axis=0)
+    between = sum(
+        (labels == v).sum() * (x[labels == v].mean(axis=0) - grand) ** 2 for v in np.unique(labels)
+    ) / n
+    total = x.var(axis=0)
+    ref = np.where(total > 0, between / np.where(total > 0, total, 1.0), 0.0)
+    got = [nicv(TraceSet(m, pts, None, 0), classify) for m in (t, np.asfortranarray(t))]
+    monkeypatch.setattr(lab, "NICV_CHUNK_BYTES", 8 * n * 7)  # 7 cycles per chunk
+    got.append(nicv(TraceSet(t, pts, None, 0), classify))
+    for g in got:
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0)
+        assert g[3] == 0.0
+
+
 def test_nicv_needs_two_classes():
     ts = _ts([[1.0], [2.0]], [7, 7])
     with pytest.raises(LabError):

@@ -1,9 +1,12 @@
 """Batched interpreter tests: lockstep agreement with the scalar machine,
 constant-time enforcement, and windowed leakage extraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from dualrail import vector_machine
 from dualrail.asm import parse, resolve
 from dualrail.machine import MachineError, MachineState, StepLimitExceeded, cycle_leakage, run
 from dualrail.vector_machine import NonConstantTimeError, batch_run
@@ -177,3 +180,100 @@ def test_address_beyond_memory_is_machine_error(src):
         batch_run(lp, 2)
     with pytest.raises(MachineError):
         run(lp)
+
+
+#: a counted loop with indexed and direct loads and stores: 1001 cycles
+#: that fill 2,401 event slots with the bus on
+INDEXED_LOOP = (
+    "mov r2 #0\n"
+    "top: add r2 r2 #1\n"
+    "xor r3 r3 !r2,100\n"
+    "mov !r2,400 r3\n"
+    "mov @102 @101\n"
+    "bne r2 #200 top\n"
+)
+
+
+def test_open_window_across_block_flushes(monkeypatch):
+    lp = resolve(parse(INDEXED_LOOP))
+    mem = np.random.default_rng(4).integers(0, 256, size=(1024, 5), dtype=np.uint8)
+    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True)
+    one_block = batch_run(lp, 5, **kw)
+    assert one_block.cycles == 1001
+    # the smallest block holds 28 slots: the run flushes it about 110 times
+    monkeypatch.setattr(vector_machine, "BLOCK_BYTES", 1)
+    for start in (0, 7):
+        open_end = batch_run(lp, 5, window=(start, None), **kw)
+        fixed = batch_run(lp, 5, window=(start, one_block.cycles), **kw)
+        np.testing.assert_array_equal(open_end.leakage, fixed.leakage)
+        np.testing.assert_array_equal(open_end.leakage, one_block.leakage[start:])
+    np.testing.assert_array_equal(open_end.memory, one_block.memory)
+    for j in range(5):
+        st = MachineState(registers=[0] * 32, memory=[int(v) for v in mem[:, j]])
+        lk = cycle_leakage(run(lp, init=st).events, PIN_WEIGHTS, include_bus=True, n_cycles=1001)
+        np.testing.assert_allclose(one_block.leakage[:, j], lk, rtol=1e-6)
+
+
+def test_window_ends_after_halt():
+    lp = resolve(parse(SRC))
+    mem = _random_mem(3, seed=5)
+    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True)
+    whole = batch_run(lp, 3, **kw)
+    assert whole.cycles == 13
+    past = batch_run(lp, 3, window=(4, 40), **kw)
+    assert past.cycles == 13 and past.leakage.shape == (36, 3)
+    np.testing.assert_array_equal(past.leakage[:9], whole.leakage[4:])
+    assert not past.leakage[9:].any()
+    late = batch_run(lp, 3, window=(20, 30), **kw)
+    assert late.cycles == 13 and late.leakage.shape == (10, 3) and not late.leakage.any()
+    # a window reaching back before cycle 0 keeps its rows for those cycles
+    early = batch_run(lp, 3, window=(-3, 5), **kw)
+    assert early.cycles == 5 and early.leakage.shape == (8, 3)
+    assert not early.leakage[:3].any()
+    np.testing.assert_array_equal(early.leakage[3:], whole.leakage[:5])
+
+
+# -- golden leakage pins ------------------------------------------------------
+
+#: non-uniform bit-line weights, so a reordered float32 sum would show
+PIN_WEIGHTS = (1.3, 0.7, 1, 1.1, 0.9, 1, 1.2, 0.8)
+
+
+def _pin_leakage(linked, cfg, window, bus, lanes=4):
+    from conftest import TEST_KEY
+    from dualrail.present import corpus_init
+
+    pts = np.random.default_rng(11).integers(0, 1 << 64, size=lanes, dtype=np.uint64)
+    mem = corpus_init(pts, TEST_KEY, cfg=cfg, mem_size=linked.mem_size)
+    res = batch_run(linked, lanes, init_memory=mem, weights=PIN_WEIGHTS, include_bus=bus,
+                    window=window)
+    assert res.leakage.dtype == np.float32 and res.leakage.flags.c_contiguous
+    return hashlib.sha256(res.leakage.tobytes()).hexdigest()
+
+
+#: sha256 of batch_run(...).leakage.tobytes(), recorded before the engine
+#: weighted recorded event bytes per block instead of per event
+LEAKAGE_PINS = {
+    ('unprotected', 'whole', False): 'fb5cc1be669406f41186f96fd266eae3ca236e7eb94f8ee8b26239d110f40e6e',
+    ('unprotected', 'whole', True): 'cb2a3809521751873f6eaf2e3a7026192d973ed10c527288e9d8784b4809e5c3',
+    ('unprotected', 'sbox', False): '9f70b5d3a6d09c1c3e3bc358cae5bca0ab048ecae5dfbd5927e734ade41bed0a',
+    ('unprotected', 'sbox', True): 'b259071146f7ee91794ac9f05615dabbc8421d53202370f55251497821f0ef44',
+    ('unprotected', 'fixed', False): 'a5ba810abbfa9faf63914c85e12991186a2b1dcfdb8c47c01501a5d94e2d7fa4',
+    ('unprotected', 'fixed', True): '78c3071b0bea7eccf7aec95c944b28ddd37aaf49dd43212afef9cf10bfd191fb',
+    ('dpl', 'whole', False): '1da018b01aaf3def1f7d9b07733689b549db671156778f165050c1ad139a94b2',
+    ('dpl', 'whole', True): 'a498ac3eb3532eeb31a643fb44ea88f837c72bdfe772e38ff7002942ade0493c',
+    ('dpl', 'sbox', False): 'b0ff221cada056dcdb1d3a35a5e9caef2e093c9d0b8c01a41d63c0a69fc575a9',
+    ('dpl', 'sbox', True): '4aa98d0542b158e1d97fc23f09926e7787d89721e10e1a10e7eefe3e0d08dd09',
+    ('dpl', 'fixed', False): '150137cb51c00750e378c80b7036898aea84b3f90267c4b535532efe356465c8',
+    ('dpl', 'fixed', True): '932fe315d718283a2aa9e1746100d4e331542c0d7d5527c498e495a294b761da',
+}
+
+
+@pytest.mark.parametrize("corpus,window,bus", sorted(LEAKAGE_PINS))
+def test_leakage_golden(corpus, window, bus, request, canonical_cfg):
+    linked = request.getfixturevalue(f"linked_{corpus}")
+    cfg = canonical_cfg if corpus == "dpl" else None
+    win = {"whole": (0, None), "fixed": (5, 300)}.get(window)
+    if win is None:
+        win = request.getfixturevalue(f"sbox_window_{corpus[0]}")
+    assert _pin_leakage(linked, cfg, win, bus) == LEAKAGE_PINS[corpus, window, bus]
