@@ -77,7 +77,6 @@ from .lab import (
     nicv,
     profile_bits,
     save_traces,
-    snr,
     success_rate,
     synth_traces,
     write_curve_csv,
@@ -184,7 +183,6 @@ __all__ = [
     "rewrite_not",
     "run",
     "save_traces",
-    "snr",
     "step",
     "success_rate",
     "symbolic_init",

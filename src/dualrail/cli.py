@@ -430,7 +430,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     _add_target_flags(tr)
     _add_dpl_flags(tr)
     _add_machine_flags(tr)
-    tr.add_argument("-a", metavar="NAME", default=None, choices=sorted(ADAPTERS))
+    _add_adapter_flag(tr)
 
     nv = sub.add_parser("nicv", allow_abbrev=False,
                         help="normalized interclass variance per cycle")
@@ -462,7 +462,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     _add_target_flags(sr)
     _add_dpl_flags(sr)
     _add_machine_flags(sr)
-    sr.add_argument("-a", metavar="NAME", default=None, choices=sorted(ADAPTERS))
+    _add_adapter_flag(sr)
 
     pf = sub.add_parser("profile", allow_abbrev=False,
                         help="rank bit lines by leakage and recommend a rail pair")

@@ -6,7 +6,7 @@ implements the standard evaluation chain on top of them: NICV leakage
 detection, monobit correlation power analysis against a first-round
 S-box nibble, success-rate curves over repeated attack campaigns, and
 per-bit-line profiling that recommends a rail pair for the dual-rail
-encoding.
+encoding.  NICV and CPA share one chunked class-statistics pass.
 
 Determinism: every function that draws randomness is seeded; campaign
 seeds are derived from the root seed with ``numpy.random.SeedSequence
@@ -45,7 +45,7 @@ DEFAULT_NOISE_SIGMA = 2.0
 #: up to a few thousand lanes, 28 slots of 13 bytes a lane beyond
 BATCH_BYTES = 16 << 20
 
-#: float64 bytes one NICV chunk of cycles converts at a time
+#: float64 bytes one chunk of cycles of NICV or CPA converts at a time
 NICV_CHUNK_BYTES = 16 << 20
 
 TRACE_MAGIC = b"DPLT"
@@ -199,52 +199,53 @@ def _synth(
     return out
 
 
-# -- NICV and SNR -----------------------------------------------------------
+# -- class statistics: NICV and monobit CPA ---------------------------------
+
+
+def _class_chunks(t: np.ndarray, inverse: np.ndarray, k: int):
+    """Per chunk of about NICV_CHUNK_BYTES of float64 cycles of `t`: the
+    column slice, the (k, chunk) sums of the runs of each class 0..k-1
+    (labels `inverse`), one matmul whatever the layout of `t`, and the
+    mean and variance over runs."""
+    n, n_cycles = t.shape
+    onehot = (inverse == np.arange(k)[:, None]).astype(np.float64)
+    step = max(1, NICV_CHUNK_BYTES // (8 * n))
+    # one buffer laid out as astype would, refilled: a chunk allocated
+    # anew each time fragments the heap with the small arrays in between
+    buf = np.empty_like(t[:, :step], dtype=np.float64)
+    for lo in range(0, n_cycles, step):
+        cols = slice(lo, lo + step)
+        x = buf[:, : min(step, n_cycles - lo)]
+        np.copyto(x, t[:, cols])
+        sums = onehot @ x
+        mean = x.mean(axis=0)
+        # ndarray.var's own steps, in place on the chunk
+        x -= mean
+        x *= x
+        yield cols, sums, mean, x.sum(axis=0) / n
 
 
 def nicv(traces: TraceSet, classifier) -> np.ndarray:
     """Normalized inter-class variance per cycle: Var[E[L|V]] / Var[L],
     where V is the class label assigned to each run by `classifier`.
     Cycles with zero total variance report 0 by convention.  Values lie
-    in [0, 1].
-
-    Cycles are taken in chunks of about NICV_CHUNK_BYTES of float64, and
-    the class sums of a chunk are one matmul with the one-hot class
-    matrix, so the cost does not depend on the trace matrix's layout."""
+    in [0, 1]."""
     labels = np.asarray([classifier(int(p)) for p in traces.plaintexts])
     classes, inverse = np.unique(labels, return_inverse=True)
     if len(classes) < 2:
         raise LabError("need at least two populated classes")
-    n, n_cycles = traces.traces.shape
+    n = len(labels)
     counts = np.bincount(inverse).astype(np.float64)[:, None]
-    onehot = np.zeros((len(classes), n))
-    onehot[inverse, np.arange(n)] = 1.0
-    out = np.zeros(n_cycles)
-    step = max(1, NICV_CHUNK_BYTES // (8 * n))
-    for lo in range(0, n_cycles, step):
-        t = traces.traces[:, lo : lo + step].astype(np.float64)
-        between = ((onehot @ t / counts - t.mean(axis=0)) ** 2 * counts).sum(axis=0) / n
-        total = t.var(axis=0)
+    out = np.zeros(traces.n_cycles)
+    for cols, sums, mean, total in _class_chunks(traces.traces, inverse, len(classes)):
+        between = ((sums / counts - mean) ** 2 * counts).sum(axis=0) / n
         nz = total > 0
-        out[lo : lo + step][nz] = between[nz] / total[nz]
+        out[cols][nz] = between[nz] / total[nz]
     return np.clip(out, 0.0, 1.0)
 
 
-def snr(traces: TraceSet, model: LeakModel) -> np.ndarray:
-    """Per-cycle signal-to-noise ratio: variance of the (noisy) leakage
-    over runs divided by the model's noise variance.  With sigma = 0 the
-    ratio is infinite wherever the leakage varies at all."""
-    var = traces.traces.astype(np.float64).var(axis=0)
-    if model.noise_sigma == 0:
-        out = np.zeros_like(var)
-        out[var > 0] = np.inf
-        return out
-    return var / (model.noise_sigma**2)
-
-
-# -- monobit CPA ------------------------------------------------------------
-
-_SBOX_LSB = np.array([SBOX[v] & 1 for v in range(16)], dtype=np.uint8)
+#: monobit prediction by (key guess, plaintext nibble), in +-1 form
+_PREDICTION = np.array([[2.0 * (SBOX[v ^ g] & 1) - 1.0 for v in range(16)] for g in range(16)])
 
 
 def cpa_monobit(
@@ -272,15 +273,14 @@ def cpa_monobit(
     ranking: no other guess scores strictly higher.  Ties share rank one
     — LSB(S(v xor 9)) = LSB(S(v)) for all v, so guesses g and g^9 produce
     identical predictions and tie exactly; an attack cannot and need not
-    separate them.  Predictions are centered in +-1 form so the tie is
-    bitwise-exact in floating point."""
+    separate them.  A prediction depends on a run only through its
+    nibble, so the covariances are a centred +-1 (guess, nibble) table
+    times the per-nibble trace sums; g and g^9 share a table row, so
+    their tie is bitwise-exact in floating point."""
     pts = traces.plaintexts
     nib = ((pts >> np.uint64(4 * target)) & np.uint64(0xF)).astype(np.int64)
     if np.all(nib == nib[0]):
         raise LabError("degenerate plaintext set: prediction vector has no variance")
-    guesses = np.arange(16)
-    # +-1 form: structurally identical guesses (g, g^9) tie bitwise
-    pred = _SBOX_LSB[nib[None, :] ^ guesses[:, None]].astype(np.float64) * 2.0 - 1.0
 
     t = traces.traces
     if window is not None:
@@ -288,19 +288,17 @@ def cpa_monobit(
         if not (0 <= lo < hi <= t.shape[1]):
             raise LabError("window outside trace length")
         t = t[:, lo:hi]
-    t = t.astype(np.float64)
     n = t.shape[0]
 
-    t_c = t - t.mean(axis=0)
-    p_c = pred - pred.mean(axis=1, keepdims=True)
-    t_ss = np.sqrt((t_c**2).sum(axis=0))  # (cycles,)
-    p_ss = np.sqrt((p_c**2).sum(axis=1))  # (16,)
-    cov = p_c @ t_c  # (16, cycles)
-    denom = p_ss[:, None] * t_ss[None, :]
-    corr = np.zeros_like(cov)
-    nz = denom > 0
-    corr[nz] = cov[nz] / denom[nz]
-    corr = np.clip(corr, -1.0, 1.0)
+    counts = np.bincount(nib, minlength=16).astype(np.float64)
+    q = _PREDICTION - (_PREDICTION @ counts / n)[:, None]  # centred, (16, 16)
+    p_ss = np.sqrt(q**2 @ counts)  # (16,)
+    t_ss, corr = np.zeros(t.shape[1]), np.zeros((16, t.shape[1]))
+    for cols, sums, _mean, var in _class_chunks(t, nib, 16):
+        t_ss[cols] = np.sqrt(n * var)
+        denom = p_ss[:, None] * t_ss[None, cols]
+        np.divide(q @ sums, denom, out=corr[:, cols], where=denom > 0)
+    np.clip(corr, -1.0, 1.0, out=corr)
 
     no_signal = bool(np.all(t_ss == 0))
     scores = corr.max(axis=1) if corr.shape[1] else np.zeros(16)

@@ -128,7 +128,7 @@ class _Block:
         pieces, out = [], leak
         if leak is None:
             rows = max(self.slots, PIECE_BYTES // (4 * self.lanes))
-            out = np.zeros((0, self.lanes), dtype=np.float32)
+            out = np.zeros((row, self.lanes), dtype=np.float32)  # cycles < 0
         while pc < n and cycle < stop:
             trace, k = [], 0
             last = min(stop, cycle + self.slots)
@@ -415,7 +415,7 @@ def batch_run(
     [window[0], window[1]); execution stops at halt or at the window end,
     whichever comes first.  Raises StepLimitExceeded when max_steps stops
     a run before either, MachineError for an address beyond memory, and
-    ValueError for fewer than one run.
+    ValueError for fewer than one run or a reversed window.
     """
     if program.word_width > 8:
         raise ValueError("batch engine supports word widths up to 8")
@@ -436,6 +436,8 @@ def batch_run(
         raise ValueError("bad init array shape")
 
     start, end = window
+    if end is not None and end < start:
+        raise ValueError(f"window end {end} is before its start {start}")
     stop = max_steps if end is None else min(max_steps, end)
     n = len(program.instructions)
     block = leak = None
@@ -461,7 +463,7 @@ def batch_run(
             cycle += 1
         if block is not None:
             make = _compiler(program, regs, mem, block, include_bus)
-            row = 0 if leak is None else max(0, cycle - start)
+            row = max(0, cycle - start)
             pc, cycle, leak = block.run(make, pc, cycle, stop, n, leak, row)
     finally:
         if collecting:

@@ -1,4 +1,4 @@
-"""Side-channel evaluation tests: NICV, SNR, monobit CPA, success-rate
+"""Side-channel evaluation tests: NICV, monobit CPA, success-rate
 curves, per-bit profiling, and trace file I/O."""
 
 import struct
@@ -20,13 +20,13 @@ from dualrail.lab import (
     nicv,
     profile_bits,
     save_traces,
-    snr,
     success_rate,
     synth_traces,
     write_curve_csv,
 )
 from dualrail.present import (
     LABEL_SBOX,
+    SBOX,
     build_corpus,
     first_round_subkey_nibble,
     loop_iteration_window,
@@ -72,7 +72,7 @@ def test_nibble_classifier():
     assert nibble_classifier(0)(0xABCD) == 0xD
 
 
-# -- NICV / SNR -------------------------------------------------------------
+# -- NICV -------------------------------------------------------------------
 
 
 def test_nicv_hand_computed():
@@ -123,14 +123,6 @@ def test_nicv_needs_two_classes():
     ts = _ts([[1.0], [2.0]], [7, 7])
     with pytest.raises(LabError):
         nicv(ts, nibble_classifier(0))
-
-
-def test_snr():
-    ts = _ts([[0.0, 1.0], [0.0, 3.0]], [0, 1])
-    noiseless = snr(ts, LeakModel(noise_sigma=0.0))
-    assert noiseless[0] == 0.0 and np.isinf(noiseless[1])
-    noisy = snr(ts, LeakModel(noise_sigma=2.0))
-    assert noisy[1] == pytest.approx(1.0 / 4.0)
 
 
 # -- trace synthesis --------------------------------------------------------
@@ -219,6 +211,82 @@ def test_cpa_correlations_bounded(linked_unprotected, sbox_window_u):
     assert res.correlations.shape == (16, ts.n_cycles)
 
 
+def _nicv_reference(traces, classifier):
+    """nicv as one one-hot matmul per chunk, copied from before NICV and
+    CPA shared their class statistics."""
+    labels = np.asarray([classifier(int(p)) for p in traces.plaintexts])
+    classes, inverse = np.unique(labels, return_inverse=True)
+    n, n_cycles = traces.traces.shape
+    counts = np.bincount(inverse).astype(np.float64)[:, None]
+    onehot = np.zeros((len(classes), n))
+    onehot[inverse, np.arange(n)] = 1.0
+    out = np.zeros(n_cycles)
+    step = max(1, lab.NICV_CHUNK_BYTES // (8 * n))
+    for lo in range(0, n_cycles, step):
+        t = traces.traces[:, lo : lo + step].astype(np.float64)
+        between = ((onehot @ t / counts - t.mean(axis=0)) ** 2 * counts).sum(axis=0) / n
+        total = t.var(axis=0)
+        nz = total > 0
+        out[lo : lo + step][nz] = between[nz] / total[nz]
+    return np.clip(out, 0.0, 1.0)
+
+
+def _cpa_reference(traces, target=0, window=None):
+    """Monobit CPA correlations from the (16, n) prediction matrix and the
+    centred traces, copied from before CPA read class sums."""
+    nib = ((traces.plaintexts >> np.uint64(4 * target)) & np.uint64(0xF)).astype(np.int64)
+    lsb = np.array([SBOX[v] & 1 for v in range(16)], dtype=np.uint8)
+    pred = lsb[nib[None, :] ^ np.arange(16)[:, None]].astype(np.float64) * 2.0 - 1.0
+    t = traces.traces
+    if window is not None:
+        t = t[:, window[0] : window[1]]
+    t = t.astype(np.float64)
+    t_c = t - t.mean(axis=0)
+    p_c = pred - pred.mean(axis=1, keepdims=True)
+    t_ss = np.sqrt((t_c**2).sum(axis=0))
+    p_ss = np.sqrt((p_c**2).sum(axis=1))
+    cov = p_c @ t_c
+    denom = p_ss[:, None] * t_ss[None, :]
+    corr = np.zeros_like(cov)
+    nz = denom > 0
+    corr[nz] = cov[nz] / denom[nz]
+    return np.clip(corr, -1.0, 1.0), bool(np.all(t_ss == 0))
+
+
+@pytest.mark.parametrize("n", [20, 300])
+def test_class_statistics_match_direct_formulas(n, monkeypatch):
+    """NICV equals its one-hot reference bit for bit and CPA's correlations
+    its prediction-matrix reference to 1e-12, across layouts, chunkings and
+    windows; n = 20 leaves some nibble classes empty."""
+    rng = np.random.default_rng(1)
+    c = 40
+    t = (rng.integers(0, 9, size=(n, c)) + rng.normal(0.0, 0.5, size=(n, c)) + 50).astype(np.float32)
+    t[:, 5] = 2.0
+    pts = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    if n == 20:
+        assert len(np.unique(pts & np.uint64(0xF))) < 16
+    for chunk in (lab.NICV_CHUNK_BYTES, 8 * n * 7):  # one chunk, then 7 cycles per chunk
+        monkeypatch.setattr(lab, "NICV_CHUNK_BYTES", chunk)
+        for m in (t, np.asfortranarray(t)):
+            ts = TraceSet(m, pts, TEST_KEY, 0)
+            for nibble in (0, 3):
+                classify = nibble_classifier(nibble)
+                got = nicv(ts, classify)
+                assert np.array_equal(got, _nicv_reference(ts, classify))
+                assert got[5] == 0.0
+            for window in (None, (3, 30)):
+                res = cpa_monobit(ts, window=window)
+                corr, no_signal = _cpa_reference(ts, window=window)
+                np.testing.assert_allclose(res.correlations, corr, rtol=0, atol=1e-12)
+                ref_scores = corr.max(axis=1)
+                true_nib = first_round_subkey_nibble(TEST_KEY, 0)
+                assert res.best_guess == int(ref_scores.argmax())
+                assert res.success == bool(ref_scores[true_nib] >= ref_scores.max())
+                assert res.no_signal == no_signal
+                for g in range(16):
+                    assert res.scores[g] == res.scores[g ^ 9]
+
+
 # -- success-rate curves ----------------------------------------------------
 
 
@@ -251,6 +319,16 @@ def test_rail_imbalance_degrades_protection(linked_dpl, canonical_cfg, sbox_wind
     assert rates == sorted(rates), rates
     assert rates[0] <= 0.5  # balanced: near the 1-in-4 tie-class chance level
     assert rates[-1] >= 0.9  # strongly imbalanced: attack recovers the nibble
+
+
+def test_success_rate_curve_pinned(linked_unprotected, sbox_window_u):
+    """The unprotected curve the benchmark's campaign draws with seed 1,
+    recorded before CPA read class sums."""
+    curve = success_rate(
+        linked_unprotected, TEST_KEY, LeakModel(noise_sigma=2.0), [50, 100, 200, 500],
+        attacks_per_point=20, seed=[1, 0], window=sbox_window_u,
+    )
+    assert curve == [(50, 0.85), (100, 0.95), (200, 1.0), (500, 1.0)]
 
 
 LOOP_XOR = (

@@ -231,6 +231,17 @@ def test_window_ends_after_halt():
     assert early.cycles == 5 and early.leakage.shape == (8, 3)
     assert not early.leakage[:3].any()
     np.testing.assert_array_equal(early.leakage[3:], whole.leakage[:5])
+    # with an open end too: row i is cycle start + i
+    open_early = batch_run(lp, 3, window=(-3, None), **kw)
+    assert open_early.window_start == -3
+    np.testing.assert_array_equal(open_early.leakage, batch_run(lp, 3, window=(-3, 13), **kw).leakage)
+
+
+def test_reversed_window_rejected():
+    lp = resolve(parse(SRC))
+    for weights in (None, (1.0,) * 8):
+        with pytest.raises(ValueError, match="window end 50 is before its start 100"):
+            batch_run(lp, 2, weights=weights, window=(100, 50))
 
 
 # -- golden leakage pins ------------------------------------------------------
