@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -49,7 +50,7 @@ from .lab import (
     synth_traces,
     write_curve_csv,
 )
-from .machine import MachineError, MachineState, run, write_events_csv
+from .machine import MachineError, run, write_events_csv
 from .present import (
     LABEL_ROUND,
     LABEL_SBOX,
@@ -132,6 +133,10 @@ def _int_in(lo: int, hi: int):
 
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
+
+
+#: a count of runs, samples or attacks
+_COUNT = _int_in(1, math.inf)
 
 
 def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
@@ -317,8 +322,7 @@ def _stage_verify(program, args, report: dict) -> None:
 
 @_stage("simulate")
 def _stage_simulate(program, args, report: dict) -> None:
-    state = MachineState.fresh(args.r, args.m)
-    result = run(_resolve(program, args), init=state, max_steps=5_000_000)
+    result = run(_resolve(program, args), max_steps=5_000_000)
     final = result.final_state
     sim = {"cycles": final.cycle, "instructions_executed": result.instruction_count}
     if args.M:
@@ -361,7 +365,7 @@ def _build_equiv_parser() -> argparse.ArgumentParser:
     _add_dpl_flags(ap)
     _add_adapter_flag(ap)
     _add_machine_flags(ap)
-    ap.add_argument("-n", type=int, default=100, metavar="N",
+    ap.add_argument("-n", type=_COUNT, default=100, metavar="N",
                     help="input samples when the sensitive space is too large "
                          "to enumerate (default 100)")
     ap.add_argument("-seed", type=int, default=0, help="sampling seed (default 0)")
@@ -425,7 +429,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
                         help="simulate runs and save a trace set")
     tr.add_argument("file", help="assembly file to trace")
     tr.add_argument("-o", metavar="FILE", required=True, help="output trace file")
-    tr.add_argument("-n", type=int, default=1000, help="number of runs (default 1000)")
+    tr.add_argument("-n", type=_COUNT, default=1000, help="number of runs (default 1000)")
     _add_model_flags(tr)
     _add_target_flags(tr)
     _add_dpl_flags(tr)
@@ -455,7 +459,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     sr.add_argument("file", help="assembly file to attack")
     sr.add_argument("-grid", metavar="N1,N2,...", required=True,
                     help="trace counts to evaluate")
-    sr.add_argument("-attacks", type=int, default=100,
+    sr.add_argument("-attacks", type=_COUNT, default=100,
                     help="independent campaigns per point (default 100)")
     sr.add_argument("-o", metavar="FILE", default=None, help="write the curve as CSV")
     _add_model_flags(sr)
@@ -466,7 +470,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("profile", allow_abbrev=False,
                         help="rank bit lines by leakage and recommend a rail pair")
-    pf.add_argument("-n", type=int, default=256,
+    pf.add_argument("-n", type=_COUNT, default=256,
                     help="runs per bit-line variant (default 256)")
     _add_model_flags(pf)
     pf.add_argument("-o", metavar="FILE", default=None,

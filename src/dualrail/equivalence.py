@@ -83,7 +83,6 @@ def check(
     n_samples: int = 100,
     seed: int = 0,
     exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD,
-    max_steps: int = 50_000_000,
 ) -> EquivalenceVerdict:
     """Compare ;@output cells of both programs over sensitive-input
     assignments; transformed outputs are rail-decoded first."""
@@ -106,8 +105,8 @@ def check(
     sens_phys = tuple((kind, state_map.physical(loc) if kind == "mem" else loc) for kind, loc in sens)
     mem_t, regs_t = _init_arrays(transformed, sens_phys, cols, cfg)
 
-    res_o = batch_run(original, len(assigns), init_memory=mem_o, init_registers=regs_o, max_steps=max_steps)
-    res_t = batch_run(transformed, len(assigns), init_memory=mem_t, init_registers=regs_t, max_steps=max_steps)
+    res_o = batch_run(original, len(assigns), init_memory=mem_o, init_registers=regs_o)
+    res_t = batch_run(transformed, len(assigns), init_memory=mem_t, init_registers=regs_t)
 
     def read(res, cells):
         rows = []

@@ -61,7 +61,9 @@ class LeakModel:
     """Device model: weight of each bit line plus Gaussian noise.
 
     Uniform weights with zero noise reproduce the simulator's exact
-    summed Hamming distances."""
+    summed Hamming distances only with `include_bus` off (the default is
+    on): the buses add the Hamming weight of every address and value a
+    memory access moves."""
 
     weights: tuple = (1.0,) * 8
     noise_sigma: float = 0.0
@@ -133,7 +135,6 @@ def synth_traces(
     cfg=None,
     slot: int = 0,
     init_builder=None,
-    max_steps: int = 50_000_000,
 ) -> TraceSet:
     """Simulate `n` runs with uniformly random plaintexts under a fixed key
     and return their noisy leakage traces.
@@ -147,23 +148,23 @@ def synth_traces(
     """
     (ts,) = _synth(
         program, key, n, model, [seed], window=window, plaintexts=plaintexts, cfg=cfg,
-        slot=slot, init_builder=init_builder, max_steps=max_steps,
+        slot=slot, init_builder=init_builder,
     )
     return ts
 
 
 def _synth(
     program, key, n, model, seeds, *, window, plaintexts=None, cfg=None, slot=0,
-    init_builder=None, max_steps=50_000_000,
+    init_builder=None,
 ) -> list[TraceSet]:
     """One trace set of `n` runs per seed, all from one batch_run.
 
     Each seed's generator draws its n plaintexts (unless `plaintexts`
     gives them for a single seed); the concatenated plaintexts run as one
-    batch, each set's leakage columns are copied out, and each set's noise
-    comes from its own generator after its plaintexts.  Lanes never
-    interact, so every set equals the one a batch of its own gives, bit
-    for bit."""
+    batch, each set views its leakage columns, and each set's noise comes
+    from its own generator after its plaintexts and is added in place.
+    Lanes never interact, so every set equals the one a batch of its own
+    gives, bit for bit."""
     rngs = [np.random.default_rng(s) for s in seeds]
     if plaintexts is None:
         pts = [rng.integers(0, 1 << 64, size=n, dtype=np.uint64) for rng in rngs]
@@ -183,13 +184,12 @@ def _synth(
         weights=model.weights,
         include_bus=model.include_bus,
         window=window if window is not None else (0, None),
-        max_steps=max_steps,
     )
     offset = res.window_start
-    leak = res.leakage
-    traces = [leak[:, i * n : (i + 1) * n].T.astype(np.float32) for i in range(len(seeds))]
-    # the batch is the largest thing alive; drop it before the noise
-    del res, mem, leak
+    traces = [res.leakage[:, i * n : (i + 1) * n].T for i in range(len(seeds))]
+    # the views keep the leakage matrix; drop the rest of the batch before
+    # the noise
+    del res, mem
     out = []
     for seed, rng, p, t in zip(seeds, rngs, pts, traces):
         if model.noise_sigma > 0:
@@ -403,16 +403,14 @@ def profile_bits(
     seed=0,
     *,
     target: int = 0,
-    window_label: str = LABEL_SBOX,
-    tol: float | None = None,
 ) -> BitProfile:
     """Score each bit line by running its single-bit program variant and
     taking the maximum NICV (class = plaintext nibble) over one S-box
     iteration.  Recommends the admissible rail pair whose two scores are
     closest — balanced rails need equally-leaking bit lines.  Scores
-    within `tol` (default 3/sqrt(n), the estimator's statistical noise)
-    count as equal, and the lowest such pair wins, so the recommendation
-    is deterministic rather than chasing sampling fluctuations."""
+    within 3/sqrt(n), the estimator's statistical noise, count as equal,
+    and the lowest such pair wins, so the recommendation is deterministic
+    rather than chasing sampling fluctuations."""
     programs = list(programs)
     if len(programs) < 2:
         raise LabError("need at least two bit-line variants to recommend a pair")
@@ -422,7 +420,7 @@ def profile_bits(
     key = int(key_rng.integers(0, 1 << 62)) | (int(key_rng.integers(0, 1 << 62)) << 18)
     scores = np.zeros(len(programs))
     for slot, prog in enumerate(programs):
-        win = loop_iteration_window(prog, window_label)
+        win = loop_iteration_window(prog, LABEL_SBOX)
         ts = synth_traces(
             prog,
             key,
@@ -437,8 +435,7 @@ def profile_bits(
     candidates = [(lo, hi) for lo, hi in ADMISSIBLE_PAIRS if hi < len(programs)]
     if not candidates:
         raise LabError("fewer than 2 admissible bits")
-    if tol is None:
-        tol = 3.0 / np.sqrt(n)
+    tol = 3.0 / np.sqrt(n)
     diffs = [abs(scores[lo] - scores[hi]) for lo, hi in candidates]
     recommended = None
     for pair, d in zip(candidates, diffs):
@@ -467,7 +464,7 @@ def save_traces(path, traces: TraceSet) -> None:
     rows["t"] = t
     with open(path, "wb") as fh:
         fh.write(TRACE_MAGIC + struct.pack("<IIII", TRACE_VERSION, *t.shape, traces.word_width))
-        fh.write(rows.tobytes())
+        fh.write(rows.data)
 
 
 def load_traces(path) -> TraceSet:
@@ -487,9 +484,9 @@ def load_traces(path) -> TraceSet:
                 f"truncated trace file: {n_runs} runs x {n_cycles} cycles need "
                 f"{need} bytes after the header, the file has {have}"
             )
-        rows = np.frombuffer(fh.read(need), dtype=_row_dtype(n_cycles))
+        rows = np.fromfile(fh, dtype=_row_dtype(n_cycles), count=n_runs)
     return TraceSet(
-        traces=rows["t"].astype(np.float32),
+        traces=rows["t"],
         plaintexts=rows["pt"].astype(np.uint64),
         fixed_key=None,
         seed=None,

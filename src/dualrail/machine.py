@@ -153,7 +153,6 @@ def run(
     program: LinkedProgram,
     init: MachineState | None = None,
     max_steps: int = 1_000_000,
-    collect_events: bool = True,
 ) -> RunResult:
     """Run to halt (pc past the last instruction) or max_steps.
 
@@ -166,9 +165,7 @@ def run(
     while state.pc < n:
         if count >= max_steps:
             raise StepLimitExceeded(f"no halt within {max_steps} steps")
-        events = step(state, program)
-        if collect_events:
-            all_events.extend(events)
+        all_events.extend(step(state, program))
         count += 1
     return RunResult(state, all_events, count)
 

@@ -56,11 +56,11 @@ def _p_layer(state: int) -> int:
     return out
 
 
-def reference_encrypt(plaintext: int, key: int, rounds: int = ROUNDS) -> int:
+def reference_encrypt(plaintext: int, key: int) -> int:
     """Encrypt one 64-bit block under an 80-bit key (plain integer model)."""
     state = plaintext & MASK64
     key &= MASK80
-    for rnd in range(1, rounds + 1):
+    for rnd in range(1, ROUNDS + 1):
         state = _p_layer(_sbox_layer(state ^ (key >> 16)))
         key = ((key & ((1 << 19) - 1)) << 61) | (key >> 19)
         key = (key & ~(0xF << 76)) | (SBOX[(key >> 76) & 0xF] << 76)
@@ -339,9 +339,7 @@ def read_ciphertexts(memory: np.ndarray, *, slot: int = 0, cfg=None) -> np.ndarr
 # -- trace-window location --------------------------------------------------
 
 
-def loop_iteration_window(
-    linked: LinkedProgram, label: str, occurrence: int = 0, max_steps: int = 5_000_000
-) -> tuple[int, int]:
+def loop_iteration_window(linked: LinkedProgram, label: str, occurrence: int = 0) -> tuple[int, int]:
     """Cycle window [start, stop) spanning one iteration of the loop whose
     head carries `label`: the (occurrence+1)-th arrival at the label up to
     the next arrival.  Control flow is input-independent, so the window is
@@ -352,7 +350,7 @@ def loop_iteration_window(
     state = MachineState.fresh(linked.n_regs, linked.mem_size)
     hits: list[int] = []
     n = len(linked.instructions)
-    while state.pc < n and state.cycle < max_steps:
+    while state.pc < n and state.cycle < 5_000_000:
         if state.pc == idx:
             hits.append(state.cycle)
             if len(hits) >= occurrence + 2:
@@ -369,12 +367,12 @@ def loop_iteration_window(
 _CORNERS = ((0, 0), (0, MASK80), (MASK64, 0), (MASK64, MASK80))
 
 
-def make_test_vectors(n_random: int = 20, seed: int = 7) -> list[tuple[int, int, int]]:
+def make_test_vectors() -> list[tuple[int, int, int]]:
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(7)
     vecs = [(p, k, reference_encrypt(p, k)) for p, k in _CORNERS]
-    for _ in range(n_random):
+    for _ in range(20):
         p, k = rng.getrandbits(64), rng.getrandbits(80)
         vecs.append((p, k, reference_encrypt(p, k)))
     return vecs

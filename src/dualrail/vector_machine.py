@@ -46,8 +46,9 @@ _SLOT_LANE_BYTES = 1 + np.dtype(np.intp).itemsize + 4
 #: slots a block holds at most: with few lanes, more would only cost
 #: setting up their row views
 _BLOCK_SLOTS = 4096
-#: bytes of one piece of the leakage matrix of an open window end: above
-#: the largest mmap threshold of glibc's malloc (32 MiB)
+#: bytes an open window end first allocates for its leakage matrix: above
+#: the largest mmap threshold of glibc's malloc (32 MiB), so its pages stay
+#: untouched until written, and growing it remaps them without a copy
 PIECE_BYTES = 40 << 20
 #: slots one instruction fills at most: two loads of an address and a
 #: data slot each, and a store of address, data and flips
@@ -117,18 +118,19 @@ class _Block:
         self.weights = np.empty((self.slots, lanes), dtype=np.float32)
         self.lanes, self.wtab, self.atab = lanes, wtab, atab
 
-    def run(self, make, pc: int, cycle: int, stop: int, n: int, leak, row: int):
+    def run(self, make, pc: int, cycle: int, stop: int, n: int, start: int, end: int | None):
         """Run from pc at `cycle` until halt or `stop`, recording every
-        cycle from `row` on; returns (pc, cycle, leakage).  `leak` is the
-        preallocated matrix of a fixed window end, or None to fill pieces
-        of PIECE_BYTES and join them at the end."""
+        cycle from `start` on; returns (pc, cycle, leakage), row i of the
+        leakage being cycle start + i.  A fixed window end allocates its
+        end - start rows.  An open end allocates at least PIECE_BYTES,
+        grows the matrix in place by one block's rows whenever it runs
+        out, and cuts it to the rows used at halt."""
         # per pc: closure, slot count and slot codes, filled when first run
         fns, count, layout = [None] * n, [0] * n, [()] * n
         full = self.slots - _MAX_SLOTS
-        pieces, out = [], leak
-        if leak is None:
-            rows = max(self.slots, PIECE_BYTES // (4 * self.lanes))
-            out = np.zeros((row, self.lanes), dtype=np.float32)  # cycles < 0
+        row = max(0, cycle - start)  # a negative start keeps zero rows before cycle 0
+        rows = max(row, PIECE_BYTES // (4 * self.lanes)) if end is None else end - start
+        leak = np.zeros((rows, self.lanes), dtype=np.float32)
         while pc < n and cycle < stop:
             trace, k = [], 0
             last = min(stop, cycle + self.slots)
@@ -142,26 +144,14 @@ class _Block:
                 k += count[pc]
                 pc = f(j)
                 cycle += 1
-            if row + len(trace) > len(out):  # only an open end's piece fills
-                if row:
-                    pieces.append(out[:row])
-                out, row = np.zeros((rows, self.lanes), dtype=np.float32), 0
-            self.weigh(trace, count, layout, k, out[row : row + len(trace)])
+            if row + len(trace) > len(leak):  # only an open end runs out
+                # no view of leak is alive here, so numpy's reference check
+                # passes; realloc remaps the pages rather than copying them
+                leak.resize((len(leak) + self.slots, self.lanes))
+            self.weigh(trace, count, layout, k, leak[row : row + len(trace)])
             row += len(trace)
-        if leak is None:
-            # the allocator unmaps a piece of PIECE_BYTES as soon as it is
-            # freed: copied out one at a time, the pieces and the matrix
-            # peak near one matrix plus one piece
-            pieces.append(out[:row])
-            del out
-            total = sum(map(len, pieces))
-            leak = pieces.pop() if len(pieces) == 1 else np.empty((total, self.lanes), np.float32)
-            at = 0
-            while pieces:
-                p = pieces.pop(0)
-                leak[at : at + len(p)] = p
-                at += len(p)
-                del p
+        if end is None:
+            leak.resize((row, self.lanes))
         return pc, cycle, leak
 
     def weigh(self, trace, count, layout, k: int, out) -> None:
@@ -444,8 +434,6 @@ def batch_run(
     if weights is not None:
         tables = _weight_tables(weights, program.word_width, program.mem_size, include_bus)
         block = _Block(n_runs, *tables)
-        if end is not None:
-            leak = np.zeros((end - start, n_runs), dtype=np.float32)
     run_up = stop if block is None else min(start, stop)
     pc = cycle = 0
     # each instruction is compiled when first run, into a few closures and
@@ -463,8 +451,7 @@ def batch_run(
             cycle += 1
         if block is not None:
             make = _compiler(program, regs, mem, block, include_bus)
-            row = max(0, cycle - start)
-            pc, cycle, leak = block.run(make, pc, cycle, stop, n, leak, row)
+            pc, cycle, leak = block.run(make, pc, cycle, stop, n, start, end)
     finally:
         if collecting:
             gc.enable()

@@ -355,13 +355,12 @@ def cross_validate(
     n_pairs: int = 100,
     seed: int = 0,
     cfg: DplConfig | None = None,
-    max_steps: int = 2_000_000,
 ) -> CrossValidation:
     """Dynamic confirmation of a balanced verdict: random pairs of sensitive
     inputs must yield identical per-cycle leakage under uniform weights.
 
     All 2*n_pairs runs are one batch_run; lanes 2p and 2p+1 are pair p.
-    Raises StepLimitExceeded if the program does not halt within max_steps,
+    Raises StepLimitExceeded if the program does not halt within 2M steps,
     and NonConstantTimeError if its control flow depends on the inputs.
     """
     if program.source is None or n_pairs <= 0:
@@ -379,7 +378,7 @@ def cross_validate(
         init_registers=regs,
         weights=[1.0] * program.word_width,
         include_bus=True,
-        max_steps=max_steps,
+        max_steps=2_000_000,
     )
     diff = res.leakage[:, 0::2] != res.leakage[:, 1::2]  # (cycles, n_pairs)
     failing = np.flatnonzero(diff.any(axis=0))

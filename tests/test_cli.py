@@ -261,8 +261,8 @@ def test_lab_traces_zero_runs(capsys, tmp_path):
     out = tmp_path / "t.bin"
     code, rep = _run(capsys, ["lab", "traces", "corpus/present80.asm", "-n", "0", "-o", str(out),
                               "-window", "sbox"])
-    assert code == cli.EXIT_SIMULATE
-    assert "at least one run" in rep["lab"]["error"]
+    assert code == cli.EXIT_PARSE
+    assert "argument -n: 0 is not from 1" in rep["usage"]["error"]
     assert not out.exists()
 
 
@@ -316,6 +316,12 @@ FAILURES = [
                  id="lab-nibble-beyond-plaintext"),
     pytest.param(["-d", "-r1", "99", "gate.asm"], "usage", id="scratch-register-beyond-file"),
     pytest.param(["-d", "-r1", "-3", "gate.asm"], "usage", id="scratch-register-negative"),
+    pytest.param(["equiv", "-n", "0", "gate.asm", "gate.asm"], "usage", id="equiv-no-samples"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-n", "-1"], "usage",
+                 id="lab-traces-negative-runs"),
+    pytest.param(["lab", "profile", "-n", "0"], "usage", id="lab-profile-no-runs"),
+    pytest.param(["lab", "success-rate", "gate.asm", "-grid", "2", "-attacks", "0"], "usage",
+                 id="lab-success-rate-no-attacks"),
     # inputs that once ended in a traceback
     pytest.param(["-d", "badloc.asm"], "parse", id="bad-directive-location"),
     pytest.param(["-v", "mem5000.asm"], "verify", id="verify-sensitive-cell-out-of-range"),

@@ -480,15 +480,19 @@ def _save_traces_per_row(path, ts):
 @pytest.mark.parametrize("n_runs, n_cycles", [(0, 0), (0, 3), (3, 0), (7, 13)])
 def test_trace_file_bytes_unchanged(tmp_path, n_runs, n_cycles):
     rng = np.random.default_rng(n_runs + n_cycles)
-    ts = TraceSet(rng.normal(size=(n_runs, n_cycles)), rng.integers(0, 2**64, n_runs, dtype=np.uint64),
-                  fixed_key=None, seed=None)
-    old, new = tmp_path / "old.bin", tmp_path / "new.bin"
-    _save_traces_per_row(old, ts)
-    save_traces(new, ts)
-    assert new.read_bytes() == old.read_bytes()
-    back = load_traces(old)
-    assert np.array_equal(back.traces, ts.traces) and back.traces.dtype == np.float32
-    assert np.array_equal(back.plaintexts, ts.plaintexts) and back.plaintexts.dtype == np.uint64
+    dense = rng.normal(size=(n_runs, n_cycles))
+    pts = rng.integers(0, 2**64, n_runs, dtype=np.uint64)
+    # a transposed column slice, as the trace sets of one batch view it
+    wide = rng.normal(size=(n_cycles, 2 * n_runs)).astype(np.float32)
+    for traces in (dense, wide[:, n_runs:].T):
+        ts = TraceSet(traces, pts, fixed_key=None, seed=None)
+        old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+        _save_traces_per_row(old, ts)
+        save_traces(new, ts)
+        assert new.read_bytes() == old.read_bytes()
+        back = load_traces(old)
+        assert np.array_equal(back.traces, ts.traces) and back.traces.dtype == np.float32
+        assert np.array_equal(back.plaintexts, ts.plaintexts) and back.plaintexts.dtype == np.uint64
 
 
 def test_load_checks_header_against_file_size(tmp_path):

@@ -200,13 +200,16 @@ def test_open_window_across_block_flushes(monkeypatch):
     kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True)
     one_block = batch_run(lp, 5, **kw)
     assert one_block.cycles == 1001
-    # the smallest block holds 28 slots: the run flushes it about 110 times
+    # the smallest block holds 28 slots: the run flushes it about 110 times;
+    # an open end first allocating 1 byte also grows its matrix about 36 times
     monkeypatch.setattr(vector_machine, "BLOCK_BYTES", 1)
-    for start in (0, 7):
-        open_end = batch_run(lp, 5, window=(start, None), **kw)
-        fixed = batch_run(lp, 5, window=(start, one_block.cycles), **kw)
-        np.testing.assert_array_equal(open_end.leakage, fixed.leakage)
-        np.testing.assert_array_equal(open_end.leakage, one_block.leakage[start:])
+    for piece_bytes in (vector_machine.PIECE_BYTES, 1):
+        monkeypatch.setattr(vector_machine, "PIECE_BYTES", piece_bytes)
+        for start in (0, 7):
+            open_end = batch_run(lp, 5, window=(start, None), **kw)
+            fixed = batch_run(lp, 5, window=(start, one_block.cycles), **kw)
+            np.testing.assert_array_equal(open_end.leakage, fixed.leakage)
+            np.testing.assert_array_equal(open_end.leakage, one_block.leakage[start:])
     np.testing.assert_array_equal(open_end.memory, one_block.memory)
     for j in range(5):
         st = MachineState(registers=[0] * 32, memory=[int(v) for v in mem[:, j]])
