@@ -51,6 +51,9 @@ NICV_CHUNK_BYTES = 16 << 20
 TRACE_MAGIC = b"DPLT"
 TRACE_VERSION = 1
 
+#: bytes of interleaved file rows save_traces fills and writes at a time
+_SAVE_CHUNK_BYTES = 4 << 20
+
 
 class LabError(ValueError):
     pass
@@ -459,12 +462,16 @@ def save_traces(path, traces: TraceSet) -> None:
     n_runs u32, n_cycles u32, word_width u32}, then per run the 64-bit
     plaintext (little-endian words) followed by n_cycles float32 samples."""
     t = traces.traces
-    rows = np.empty(t.shape[0], dtype=_row_dtype(t.shape[1]))
-    rows["pt"] = traces.plaintexts
-    rows["t"] = t
+    dtype = _row_dtype(t.shape[1])
+    step = max(1, _SAVE_CHUNK_BYTES // dtype.itemsize)
+    rows = np.empty(min(step, t.shape[0]), dtype=dtype)  # reused for every chunk
     with open(path, "wb") as fh:
         fh.write(TRACE_MAGIC + struct.pack("<IIII", TRACE_VERSION, *t.shape, traces.word_width))
-        fh.write(rows.data)
+        for lo in range(0, t.shape[0], step):
+            chunk = rows[: min(step, t.shape[0] - lo)]
+            chunk["pt"] = traces.plaintexts[lo : lo + len(chunk)]
+            chunk["t"] = t[lo : lo + len(chunk)]
+            fh.write(chunk.data)
 
 
 def load_traces(path) -> TraceSet:

@@ -8,7 +8,10 @@ leakage activity under the Hamming model.  No tag exempts an instruction:
 every executed instruction is checked.
 
 Opcode semantics come from ``asm.OPS``, applied to every combination of
-operand values.  cross_validate confirms a verdict dynamically, with all its
+operand values.  A step depends only on its pc and the sets it reads, so
+``verify`` memoises it exactly on those: a loop body revisited with the
+same sets replays its cached result and adds no finding it has not already
+merged.  cross_validate confirms a verdict dynamically, with all its
 input pairs as the lanes of one vector_machine.batch_run.
 """
 from __future__ import annotations
@@ -17,10 +20,11 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
-from .asm import OPS, Immediate, LinkedProgram, MemDirect, Register
+from .asm import OPS, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
 from .dpl import DplConfig
 from .equivalence import _init_arrays
 from .machine import _POP
@@ -153,13 +157,6 @@ class Verifier:
 
     # -- operand access -----------------------------------------------------
 
-    def _value(self, state: SymbolicState, op) -> frozenset:
-        if isinstance(op, Register):
-            return state.registers[op.index]
-        if isinstance(op, Immediate):
-            return frozenset((op.value,))
-        raise VerifierError(f"not a value operand: {op}")
-
     def _addresses(self, state: SymbolicState, op) -> frozenset:
         if isinstance(op, MemDirect):
             return frozenset((op.address,))
@@ -175,8 +172,10 @@ class Verifier:
         return addrs
 
     def _load(self, state: SymbolicState, op, findings: list, idx: int):
-        if isinstance(op, (Register, Immediate)):
-            return self._value(state, op)
+        if isinstance(op, Register):
+            return state.registers[op.index]
+        if isinstance(op, Immediate):
+            return frozenset((op.value,))
         addrs = self._addresses(state, op)
         vals = set()
         for a in addrs:
@@ -194,6 +193,16 @@ class Verifier:
             findings.append(LeakFinding(idx, "data_bus", "dbus", hw_data, hw_data, w))
         return vals
 
+    def _cell(self, state: SymbolicState, op, idx: int) -> tuple[list, int]:
+        """The list and index of the one cell a destination writes."""
+        if isinstance(op, Register):
+            return state.registers, op.index
+        addrs = self._addresses(state, op)
+        if len(addrs) != 1:
+            raise VerifierError(f"data-dependent store address at instruction {idx}")
+        (addr,) = addrs
+        return state.memory, addr
+
     def _store(
         self,
         state: SymbolicState,
@@ -208,25 +217,19 @@ class Verifier:
         operand; otherwise old and new are treated as independent."""
         hw_set = frozenset([_POP[v] for v in vals])
         if isinstance(op, Register):
-            old = state.registers[op.index]
-            state.registers[op.index] = vals
+            cells, i = state.registers, op.index
             loc, kind = op, "reg_update"
         else:
-            addrs = self._addresses(state, op)
-            if len(addrs) != 1:
-                raise VerifierError(
-                    f"data-dependent store address at instruction {idx}"
-                )
-            (addr,) = addrs
-            old = state.memory[addr]
-            state.memory[addr] = vals
-            loc, kind = f"@{addr}", "mem_update"
+            cells, i = self._cell(state, op, idx)
+            loc, kind = f"@{i}", "mem_update"
             # store address is concrete so the address bus is balanced;
             # the written value still crosses the data bus
             if len(hw_set) > 1:
                 findings.append(
                     LeakFinding(idx, "data_bus", "dbus", hw_set, hw_set, _hw_witness(vals))
                 )
+        old = cells[i]
+        cells[i] = vals
         if pairs is None:
             hd_set = frozenset([_POP[o ^ n] for o in old for n in vals])
         else:
@@ -301,6 +304,45 @@ class Verifier:
         state.cycle += 1
         return findings
 
+    def _key_reader(self, idx: int):
+        """A function (registers, memory) -> key of every set instruction idx
+        reads: its operands, the destination's old set and, for an indexed
+        operand, the base set and each cell it may read in address order
+        (equal sets may iterate in different orders, so cells in set order
+        could match two states whose cells are swapped).  None for jmp and
+        nop, which read no set."""
+        inst = self.program.instructions[idx]
+        kind = OPS[inst.opcode].kind
+        if kind in ("jump", "nop"):
+            return None
+        regs, cells, indexed = set(), set(), []
+        for op in inst.operands[:2] if kind == "branch" else inst.operands:
+            if isinstance(op, MemIndirect):
+                if isinstance(op.base, Immediate):
+                    op = MemDirect(op.base.value + op.offset)
+                else:
+                    indexed.append((op.base.index, op.offset))
+                    op = op.base
+            if isinstance(op, Register):
+                regs.add(op.index)
+            elif isinstance(op, MemDirect):
+                cells.add(op.address)
+        get_regs = itemgetter(*sorted(regs)) if regs else _nothing
+        get_cells = itemgetter(*sorted(cells)) if cells else _nothing
+        if not indexed:
+            if not cells:
+                return lambda r, m: get_regs(r)
+            return lambda r, m: (get_regs(r), get_cells(m))
+        return lambda r, m: (
+            get_regs(r),
+            get_cells(m),
+            tuple([m[a + off] for b, off in indexed for a in sorted(r[b])]),
+        )
+
+
+def _nothing(cells):
+    return ()
+
 
 def verify(
     program: LinkedProgram,
@@ -314,29 +356,70 @@ def verify(
     inconclusive (value-set cap or step limit hit)."""
     v = Verifier(program, cap)
     state = init if init is not None else symbolic_init(program, cfg)
+    regs, mem = state.registers, state.memory
     merged: dict[tuple, LeakFinding] = {}
     steps = 0
     n = len(program.instructions)
     verdict_reason = ""
     verdict = None
-    while state.pc < n:
+    # Each step is memoised on its pc and the sets it reads: a hit writes
+    # the cached destination set and pc.  Its findings equal those of the
+    # miss that filled it, already merged, so the report is unchanged.  A
+    # step that raises is never cached.  memos[pc] is None before the pc
+    # first runs and False after; from its first revisit on it is (key
+    # reader, memo), or () for jmp and nop, so straight-line code builds
+    # no reader.
+    memos: list = [None] * n
+    pc, cycle0 = state.pc, state.cycle
+    while pc < n:
         if steps >= max_steps:
             verdict, verdict_reason = INCONCLUSIVE, f"step limit {max_steps} reached"
             break
+        entry = memos[pc]
+        if entry:
+            read, memo = entry
+            try:
+                key = read(regs, mem)
+            except IndexError:
+                entry = None  # an address past the memory: the step raises
+            else:
+                hit = memo.get(key)
+                if hit is not None:
+                    cells, i, vals, pc = hit
+                    if cells is not None:
+                        cells[i] = vals
+                    steps += 1
+                    continue
+        elif entry is None:
+            memos[pc] = False
+        elif entry is False:
+            read = v._key_reader(pc)
+            memos[pc] = (read, {}) if read else ()
+            continue  # the same pc again, now with its reader
+        state.pc, state.cycle = pc, cycle0 + steps
         try:
             for f in v.sym_step(state):
-                key = (f.index, f.kind, f.location)
-                if key in merged:
-                    merged[key].merge(f)
+                fkey = (f.index, f.kind, f.location)
+                if fkey in merged:
+                    merged[fkey].merge(f)
                 else:
-                    merged[key] = f
+                    merged[fkey] = f
         except _CapExceeded:
             verdict, verdict_reason = (
                 INCONCLUSIVE,
-                f"value-set cap {cap} exceeded at instruction {state.pc}",
+                f"value-set cap {cap} exceeded at instruction {pc}",
             )
             break
+        if entry:
+            inst = program.instructions[pc]
+            if OPS[inst.opcode].kind == "branch":
+                memo[key] = (None, 0, None, state.pc)
+            else:
+                cells, i = v._cell(state, inst.operands[0], pc)
+                memo[key] = (cells, i, cells[i], state.pc)
+        pc = state.pc
         steps += 1
+    state.pc, state.cycle = pc, cycle0 + steps
     findings = sorted(merged.values(), key=lambda f: (f.index, f.kind, f.location))
     if verdict is None:
         verdict = LEAKY if findings else BALANCED

@@ -2,6 +2,7 @@
 curves, per-bit profiling, and trace file I/O."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,8 +489,12 @@ def test_trace_file_bytes_unchanged(tmp_path, n_runs, n_cycles):
         ts = TraceSet(traces, pts, fixed_key=None, seed=None)
         old, new = tmp_path / "old.bin", tmp_path / "new.bin"
         _save_traces_per_row(old, ts)
-        save_traces(new, ts)
-        assert new.read_bytes() == old.read_bytes()
+        # the default chunk, then two rows a chunk: 7 rows go out in four
+        # writes, the last one partial
+        for chunk_bytes in (lab._SAVE_CHUNK_BYTES, 2 * (8 + 4 * n_cycles)):
+            with mock.patch.object(lab, "_SAVE_CHUNK_BYTES", chunk_bytes):
+                save_traces(new, ts)
+            assert new.read_bytes() == old.read_bytes()
         back = load_traces(old)
         assert np.array_equal(back.traces, ts.traces) and back.traces.dtype == np.float32
         assert np.array_equal(back.plaintexts, ts.plaintexts) and back.plaintexts.dtype == np.uint64

@@ -1,10 +1,12 @@
 """The one instruction-set table, run three ways: on generated straight-line
 programs over every non-branch opcode in asm.OPS, the scalar machine and
 the batch engine agree exactly, and every concrete leakage observation lies
-in the verifier's sets for its instruction."""
+in the verifier's sets for its instruction, also with the program as the
+body of a counted loop."""
 
 from collections import Counter, defaultdict
 from itertools import product
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dualrail.asm import OPS, parse, resolve
 from dualrail.machine import MachineState, cycle_leakage, run
 from dualrail.vector_machine import batch_run
-from dualrail.verifier import verify
+from dualrail.verifier import Verifier, symbolic_init, verify
 
 LANES = 6
 #: r1 is the index register: read but never written, so indirect stores
@@ -48,15 +50,23 @@ def _instruction(draw, index):
 
 
 @st.composite
-def _program(draw):
+def _body(draw):
     n = draw(st.integers(1, 10))
     body = [draw(_instruction(i)) for i in range(n)]
     sensitive = draw(
         st.lists(st.sampled_from([f"r{i}" for i in DEST_REGS] + [f"@{a}" for a in CELLS]),
                  min_size=1, max_size=3, unique=True)
     )
+    return body, sensitive
+
+
+def _link(body, sensitive):
     text = "".join(f";@sensitive {loc}\n" for loc in sensitive) + "".join(f"{i}\n" for i in body)
     return resolve(parse(text)), sensitive
+
+
+def _program():
+    return _body().map(lambda b: _link(*b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -78,12 +88,9 @@ def test_scalar_and_batch_engines_agree(prog, seed):
         assert np.allclose(res.leakage[:, j], leak, rtol=1e-5)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_program())
-def test_concrete_observations_lie_in_verifier_sets(prog):
+def _check_observations(lp, sensitive, instruction_of_cycle):
     """Over all assignments of the sensitive bits, an observation that
     varies is flagged, and its finding's hd/hw sets hold every value seen."""
-    lp, sensitive = prog
     rep = verify(lp, cap=256)
     assert rep.verdict != "inconclusive"
     findings = {(f.index, f.kind, f.location): f for f in rep.findings}
@@ -97,11 +104,37 @@ def test_concrete_observations_lie_in_verifier_sets(prog):
                 init.memory[int(loc[1:])] = bit
         seen = Counter()
         for e in run(lp, init).events:
-            # straight-line code: the cycle is the instruction index
             key = (e.cycle, e.kind, e.location)
             observed[(*key, seen[key])].append((e.hd, e.hw))
             seen[key] += 1
-    for (*key, _), obs in observed.items():
+    for (cycle, kind, location, _), obs in observed.items():
         if len(set(obs)) > 1:
-            f = findings[tuple(key)]
+            f = findings[(instruction_of_cycle(cycle), kind, location)]
             assert all(hd in f.hd_set and hw in f.hw_set for hd, hw in obs)
+    return rep
+
+
+@settings(max_examples=100, deadline=None)
+@given(_program())
+def test_concrete_observations_lie_in_verifier_sets(prog):
+    # straight-line code: the cycle is the instruction index
+    _check_observations(*prog, lambda cycle: cycle)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_body(), st.integers(2, 3))
+def test_concrete_observations_lie_in_verifier_sets_of_a_loop(prog, passes):
+    """The same property with the body in a public counted loop, whose
+    later passes replay memoised steps; the report also equals that of
+    stepping every instruction cold (no pc ever gets a key reader), and so
+    does the final state."""
+    body, sensitive = prog
+    # r8 is the loop counter: no generated instruction touches it
+    looped = [f"top: {body[0]}", *body[1:], "add r8 r8 #1 ;@public", f"bne r8 #{passes} top"]
+    lp, _ = _link(looped, sensitive)
+    rep = _check_observations(lp, sensitive, lambda cycle: cycle % len(looped))
+    memo, cold = symbolic_init(lp), symbolic_init(lp)
+    verify(lp, init=memo, cap=256)
+    with mock.patch.object(Verifier, "_key_reader", lambda self, idx: None):
+        assert verify(lp, init=cold, cap=256).to_json() == rep.to_json()
+    assert (memo.registers, memo.memory) == (cold.registers, cold.memory)

@@ -1,7 +1,9 @@
 """Balance verifier tests: set-valued stepping, leak findings, verdicts,
 and concrete cross-validation."""
 
+import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -9,6 +11,8 @@ from dualrail.asm import parse, resolve
 from dualrail.dpl import DplConfig, transform
 from dualrail.verifier import (
     SensitiveBranchError,
+    Verifier,
+    VerifierError,
     cross_validate,
     symbolic_init,
     verify,
@@ -202,3 +206,124 @@ def test_concrete_hd_member_of_symbolic_sets():
         ev = [e for e in res.events if e.location == "r4"][0]
         assert ev.hd in finding.hd_set
         assert ev.hw in finding.hw_set
+
+
+# -- memoised steps ---------------------------------------------------------
+
+
+def test_corpus_reports_pinned(linked_unprotected, linked_dpl, canonical_cfg):
+    # sha256 of each corpus' report JSON, witnesses included
+    pins = (
+        (linked_unprotected, None, "613c57ff408a1ef8670a9b466b288bdb5cb1ba6f53f7dbebd74806deeb17eeda"),
+        (linked_dpl, canonical_cfg, "82135355835a84f512160ee6bd4e4393e0ebc58db0c5bee66c12a7e47f4546ee"),
+    )
+    for lp, cfg, pin in pins:
+        assert hashlib.sha256(verify(lp, cfg=cfg).to_json().encode()).hexdigest() == pin
+
+
+def _memo_vs_cold(src, **kw):
+    """verify() on src, and again with every step cold (no pc ever gets a
+    key reader): both must give the same report and final state.  Returns
+    the memoised run's report, its final state and the number of steps it
+    replayed instead of stepping."""
+    lp = resolve(parse(src))
+    step, cold_steps = Verifier.sym_step, []
+
+    def counted(self, state):
+        cold_steps.append(state.pc)
+        return step(self, state)
+
+    memo_state = symbolic_init(lp)
+    with mock.patch.object(Verifier, "sym_step", counted):
+        memo = verify(lp, init=memo_state, **kw)
+    cold_state = symbolic_init(lp)
+    with mock.patch.object(Verifier, "_key_reader", lambda self, idx: None):
+        cold = verify(lp, init=cold_state, **kw)
+    assert memo.to_json() == cold.to_json()
+    assert (memo_state.registers, memo_state.memory) == (cold_state.registers, cold_state.memory)
+    assert (memo_state.pc, memo_state.cycle) == (cold_state.pc, cold_state.cycle)
+    return memo, memo_state, memo.cycles_verified - len(cold_steps)
+
+
+def test_memo_sees_a_register_turn_sensitive_on_a_later_pass():
+    # r5 takes r4's set through r8, so the gate reads it sensitive only on
+    # the third pass, after the second filled its memo with r5 = {0}
+    src = (
+        ";@sensitive r4\n"
+        "top: orr r6 r5 #0\nmov r5 r8\nmov r8 r4\n"
+        "add r1 r1 #1 ;@public\nbne r1 #5 top\n"
+    )
+    rep, state, replayed = _memo_vs_cold(src)
+    assert replayed > 0
+    assert (0, "r6") in [(f.index, f.location) for f in rep.findings]
+    assert state.registers[6] == frozenset({0, 1})
+
+
+def test_memo_sees_a_branch_turn_sensitive_on_a_later_pass():
+    src = (
+        ";@sensitive r4\n"
+        "top: mov r7 #1\nbeq r5 #1 skip\nmov r6 #2\nskip: mov r5 r8\nmov r8 r4\n"
+        "add r1 r1 #1 ;@public\nbne r1 #5 top\n"
+    )
+    with pytest.raises(SensitiveBranchError, match="instruction 1:"):
+        _verify_src(src)
+
+
+def test_memo_follows_the_cell_an_indexed_read_reads():
+    # the base r3 never changes, but the cell !r3,60 reads turns sensitive
+    # on the third pass: the read must miss and leak on the data bus
+    src = (
+        ";@sensitive @50\n"
+        "top: mov r6 !r3,60\nmov r6 #0\nbne r1 #1 skip\nmov @60 @50\n"
+        "skip: add r1 r1 #1 ;@public\nbne r1 #5 top\n"
+    )
+    rep, _, replayed = _memo_vs_cold(src)
+    assert replayed > 0
+    assert (0, "data_bus", "dbus") in [(f.index, f.kind, f.location) for f in rep.findings]
+
+
+def test_memo_keys_indexed_cells_by_address():
+    # the base set is {0, 1}: the read sees @60 and @61, which swap their
+    # contents on every pass, so successive passes read the same two sets
+    # from swapped cells
+    src = (
+        ";@sensitive r3\n"
+        "mov @60 #3\n"
+        "top: mov r6 !r3,60\nmov r7 @60\nmov @60 @61\nmov @61 r7\n"
+        "add r1 r1 #1 ;@public\nbne r1 #6 top\n"
+    )
+    rep, state, replayed = _memo_vs_cold(src)
+    assert replayed > 0
+    assert state.registers[6] == frozenset({0, 3})
+    assert (state.memory[60], state.memory[61]) == (frozenset({3}), frozenset({0}))
+    assert rep.verdict == "leaky"  # the two addresses differ in weight
+
+
+def test_memo_keeps_cap_and_step_limit_inconclusive():
+    # the same reasons and cycle counts as stepping every instruction cold
+    cap = (
+        ";@sensitive r4\n"
+        "top: mov r6 #1\nadd r5 r5 r4\n"
+        "add r1 r1 #1 ;@public\nbne r1 #40 top\n"
+    )
+    rep, _, replayed = _memo_vs_cold(cap, cap=4)
+    assert replayed > 0
+    assert (rep.verdict, rep.reason, rep.cycles_verified) == (
+        "inconclusive",
+        "value-set cap 4 exceeded at instruction 1",
+        13,
+    )
+    step = ";@sensitive r4\ntop: mov r6 r4\nxor r7 r7 #1\njmp top\n"
+    rep, _, replayed = _memo_vs_cold(step, max_steps=101)
+    assert replayed > 0
+    assert (rep.verdict, rep.reason, rep.cycles_verified) == ("inconclusive", "step limit 101 reached", 101)
+
+
+def test_memo_keeps_an_address_past_the_memory_an_error():
+    # the indexed read walks 10 cells a pass and leaves memory on the fourth
+    src = (
+        "top: mov r7 #1\nmov r6 !r3,1000\nadd r3 r3 #10\n"
+        "add r1 r1 #1 ;@public\nbne r1 #9 top\n"
+    )
+    with pytest.raises(VerifierError, match=r"^address 1030 out of range at cycle 16$"):
+        _verify_src(src)
