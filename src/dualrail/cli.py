@@ -35,7 +35,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .asm import ADAPTERS, ParseError, parse, print_program, resolve
-from .dpl import DplConfig, TransformError, transform
+from .dpl import DplConfig, TransformError, place_tables, transform
 from .equivalence import DplStateMap, check
 from .lab import (
     DEFAULT_NOISE_SIGMA,
@@ -149,8 +149,9 @@ def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
                          "(default 0, must equal min(-bf, -bt))")
     ap.add_argument("-cl", action="store_true",
                     help="compact the operator tables (overlap their zero entries)")
-    ap.add_argument("-la", type=int, default=0, metavar="ADDR",
-                    help="base memory address of the operator tables (default 0)")
+    ap.add_argument("-la", type=int, default=None, metavar="ADDR",
+                    help="base memory address of the operator tables (default: "
+                         "the lowest aligned one clear of the program's cells)")
     ap.add_argument("-r1", type=int, default=20, metavar="REG",
                     help="first scratch register (default 20)")
     ap.add_argument("-r2", type=int, default=21, metavar="REG",
@@ -182,7 +183,7 @@ def _config_from(args) -> DplConfig:
         bit_f=args.bf,
         bit_t=args.bt,
         pattern_lo=args.po,
-        lut_base=args.la,
+        lut_base=args.la or 0,
         compact=args.cl,
         scratch=(args.r1, args.r2, args.r3),
     )
@@ -302,7 +303,10 @@ def _stage_lint(program, report: dict) -> None:
 
 @_stage("transform")
 def _stage_transform(program, args, report: dict):
-    transformed, tr = transform(program, _config_from(args))
+    cfg = _config_from(args)
+    if args.la is None:
+        cfg = place_tables(program, cfg, args.m)
+    transformed, tr = transform(program, cfg)
     report["transform"] = json.loads(tr.to_json())
     if args.o:
         text = (ADAPTERS[args.a].print if args.a else print_program)(transformed)

@@ -11,7 +11,7 @@ swaps the rails in place, done through a precharged scratch register.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from .asm import (
@@ -81,6 +81,12 @@ class DplConfig:
         return 1 << (self.pattern_lo + 2 * self.span)
 
     @property
+    def field_mask(self) -> int:
+        """The table index bits a packed operand pair sets: a table base
+        must have them clear."""
+        return ((1 << 2 * self.span) - 1) << self.pattern_lo
+
+    @property
     def tables_per_region(self) -> int:
         return (1 << self.pattern_lo) if self.compact else 1
 
@@ -101,8 +107,7 @@ class DplConfig:
                 f"pattern offset {self.pattern_lo} inconsistent with rails "
                 f"{{{self.bit_f},{self.bit_t}}}"
             )
-        field_mask = ((1 << 2 * self.span) - 1) << self.pattern_lo
-        if self.lut_base & field_mask:
+        if self.lut_base & self.field_mask:
             raise TransformError(f"table base {self.lut_base} misaligned for the index field")
         if self.compact and self.pattern_lo == 0:
             raise TransformError("compact tables need a nonzero pattern offset")
@@ -367,19 +372,43 @@ def _used_registers(p: Program) -> set[int]:
     return regs
 
 
-def _used_cells(p: Program) -> set[int]:
+def _used_cells(p: Program, reach: int = 0) -> set[int]:
+    """Cells p declares or addresses; an indexed operand counts its offset
+    and the `reach` cells above it."""
     cells = set()
     for inst in p.instructions:
         for op in inst.operands:
             if isinstance(op, MemDirect):
                 cells.add(op.address)
             elif isinstance(op, MemIndirect):
-                cells.add(op.offset)
+                cells.update(range(op.offset, op.offset + reach + 1))
     for name in ("sensitive", "output"):
         for kind, loc in p.declared_cells(name):
             if kind == "mem":
                 cells.add(loc)
     return cells
+
+
+def _ops_used(p: Program, actions: dict) -> set[str]:
+    """The logical operators whose tables the expanded instructions read."""
+    return {p.instructions[i].opcode for i, act in actions.items() if act == EXPAND}
+
+
+def place_tables(p: Program, cfg: DplConfig, mem_size: int, word_width: int = 8) -> DplConfig:
+    """cfg with lut_base at the lowest aligned base whose tables for p fit
+    below mem_size and touch no cell p declares or may address: an indexed
+    operand may reach every cell from its offset to offset + the largest
+    word.  cfg itself when p needs no tables."""
+    cfg.validate(word_width)
+    stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p, classify(p)[0]))[1]
+    offsets = [s.operands[0].address for s in stores]
+    if not offsets:
+        return cfg
+    taken = _used_cells(p, reach=(1 << word_width) - 1)
+    for base in range(mem_size - max(offsets)):
+        if not base & cfg.field_mask and taken.isdisjoint([base + o for o in offsets]):
+            return replace(cfg, lut_base=base)
+    raise TransformError(f"no aligned region below {mem_size} holds the tables clear of program cells")
 
 
 def transform(p: Program, cfg: DplConfig, strict: bool = False) -> tuple[Program, TransformReport]:
@@ -396,8 +425,7 @@ def transform(p: Program, cfg: DplConfig, strict: bool = False) -> tuple[Program
     if clash:
         raise TransformError(f"program already uses reserved register(s) {sorted(clash)}")
 
-    ops_used = {p.instructions[i].opcode for i, act in actions.items() if act == EXPAND}
-    specs, stores = gen_luts(cfg, ops_used)
+    specs, stores = gen_luts(cfg, _ops_used(p, actions))
     lut_bytes = len(stores)
     if lut_bytes:
         reserved_cells = {s.operands[0].address for s in stores}

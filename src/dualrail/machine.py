@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+import numpy as np
+
 from .asm import OPS, Immediate, LinkedProgram, MemDirect, Register
 
 # popcount table covering data words and the address space
@@ -170,38 +172,43 @@ def run(
     return RunResult(state, all_events, count)
 
 
+def weight_tables(weights, n_addr: int = 0):
+    """Per-value weights from per-bit ones, as float64 arrays: one for every
+    data value (a value beyond the word weighs its low bits, so all 256
+    bytes have one) and one for every address below n_addr, whose bits
+    beyond the word weigh 1.0 each.  A value's bit weights add in bit order
+    from 0.0, and an address adds its high-bit count last."""
+    width = len(weights)
+    vals = np.arange(max(1 << max(width, 8), n_addr))
+    tab = np.zeros(len(vals))
+    for i, w in enumerate(weights):
+        tab += (vals >> i & 1) * float(w)
+    hi, high_bits = vals[:n_addr] >> width, np.zeros(n_addr, dtype=np.intp)
+    while hi.any():
+        high_bits += hi & 1
+        hi >>= 1
+    return tab[: 1 << max(width, 8)], tab[:n_addr] + high_bits
+
+
 def cycle_leakage(
     events: list[LeakageEvent],
     weights,
     include_bus: bool = False,
     n_cycles: int | None = None,
 ) -> list[float]:
-    """Per-cycle weighted bit-flip counts.
+    """Per-cycle weighted bit-flip counts, from weight_tables.
 
-    weights[i] applies to bit position i of data words; address-bus bits past
-    the word width weigh 1.0.  Uniform weights reduce to summed Hamming
-    distances.  Cycles with no events contribute 0.0.
+    Uniform weights reduce to summed Hamming distances.  Cycles with no
+    events contribute 0.0.
     """
-    weights = list(weights)
-    width = len(weights)
     if n_cycles is None:
         n_cycles = (max(e.cycle for e in events) + 1) if events else 0
-    # per-byte weighted popcount tables, one for data, one extended for addresses
-    wtab = [sum(weights[i] for i in range(width) if v >> i & 1) for v in range(1 << width)]
+    n_addr = 1 + max((e.flips for e in events if e.kind == ADDR_BUS), default=0) if include_bus else 0
+    data, addr = (t.tolist() for t in weight_tables(list(weights), n_addr))
     out = [0.0] * n_cycles
     for e in events:
-        if e.kind in (ADDR_BUS, DATA_BUS):
-            if not include_bus:
-                continue
-            if e.kind == ADDR_BUS:
-                v = e.flips
-                w = wtab[v & ((1 << width) - 1)] + _POP[v >> width]
-            else:
-                w = wtab[e.flips]
-        else:
-            w = wtab[e.flips]
-        if e.cycle < n_cycles:
-            out[e.cycle] += w
+        if e.cycle < n_cycles and (include_bus or e.kind not in (ADDR_BUS, DATA_BUS)):
+            out[e.cycle] += (addr if e.kind == ADDR_BUS else data)[e.flips]
     return out
 
 

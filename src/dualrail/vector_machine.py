@@ -23,6 +23,17 @@ sum them.  float32 addition is not associative, and numpy's reductions
 may pair terms, so the adds are explicit: that keeps the sums
 bit-identical (sha256 pins in tests/test_vector_machine.py).
 
+Control flow being the same in every lane, loop counters and the
+addresses they index usually hold one value in every lane.  The engine
+keeps a lane-uniform shadow of the registers: per register the int that
+every lane holds, or None when the lanes differ.  A register read returns
+that int when it is set, so an instruction whose operands are all uniform
+runs its ``asm.OPS`` function on Python ints, an indexed operand with a
+uniform base reads or writes one memory row, and a branch on uniform
+operands decides without numpy.  Every register store still writes the
+register's row (an int fills it), so the rows stay the ground truth: each
+compiler builds the shadow from them, and results are read from them.
+
 Each instruction is compiled into closures when it first runs,
 specialised on operand kind and on whether leakage and bus events are
 recorded, so a run without leakage pays for no recording and the run-up
@@ -37,7 +48,7 @@ from itertools import chain
 import numpy as np
 
 from .asm import OPS, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
-from .machine import MachineError, StepLimitExceeded
+from .machine import MachineError, StepLimitExceeded, weight_tables
 
 #: bytes of one recording block: per slot and lane a data byte, a flat
 #: cell index and a float32 weight
@@ -70,30 +81,6 @@ class BatchResult:
     leakage: np.ndarray | None   # (n_cycles, n_runs) float32, or None
     cycles: int
     window_start: int = 0
-
-
-def _weight_tables(weights, width: int, mem_size: int, include_bus: bool):
-    """float32 weight of every byte value (all 256: a byte beyond the word
-    weighs its low bits) and of every address.  Adding 0.0 turns a -0.0
-    into 0.0, as the reference's sum starting from 0.0 does."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (width,):
-        raise ValueError(f"need {width} per-bit weights")
-    vals = np.arange(256)
-    bits = (vals[:, None] >> np.arange(width)) & 1
-    wtab = ((bits * w).sum(axis=1) + 0.0).astype(np.float32)
-    atab = None
-    if include_bus:
-        addrs = np.arange(mem_size)
-        abits = (addrs[:, None] >> np.arange(width)) & 1
-        atab = (abits * w).sum(axis=1)
-        hi = addrs >> width
-        # address bits beyond the data word weigh 1.0
-        while hi.any():
-            atab += hi & 1
-            hi = hi >> 1
-        atab = (atab + 0.0).astype(np.float32)
-    return wtab, atab
 
 
 def _fixed(op, mem_size: int):
@@ -194,15 +181,31 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     takes the index of its cycle's first slot in the block and returns the
     next pc; without a block it records nothing and ignores the index.
     Results of the OPS functions are stored as they come: on uint8 rows and
-    small immediates they stay uint8."""
+    small immediates they stay uint8, and on lane-uniform ints they are
+    ints."""
     mem_size, lanes = program.mem_size, regs.shape[1]
     mask = (1 << program.word_width) - 1
     flat = mem.reshape(-1)
     scratch = np.empty(lanes, dtype=np.intp)
+    # the lane-uniform shadow of regs: per register the int every lane
+    # holds, or None; stores write through, so regs stays the ground truth
+    lo, hi = regs.min(axis=1).tolist(), regs.max(axis=1).tolist()
+    uni = [a if a == b else None for a, b in zip(lo, hi)]
     if block is not None:
         data, cells = list(block.data), list(block.cells)
     rec_bus = block is not None and bus
     bases: dict = {}
+    # a numpy call on a row and a Python int costs about twice one on two
+    # rows, so an int stored to memory goes there as a constant row
+    consts: dict = {}
+
+    def as_row(v):
+        if type(v) is not int:
+            return v
+        row = consts.get(v)
+        if row is None:
+            row = consts[v] = np.full(lanes, v, dtype=np.uint8)
+        return row
 
     def cell_index(op):
         """Fills a flat index row (address * lanes + lane) for an indexed
@@ -228,8 +231,16 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         if isinstance(op, Immediate):
             v = op.value
             return (lambda k: v), ()
-        if isinstance(op, Register) or isinstance(op, MemDirect) and not rec_bus:
-            cell = regs[op.index] if isinstance(op, Register) else mem[op.address]
+        if isinstance(op, Register):
+            i, cell = op.index, regs[op.index]
+
+            def load_reg(k):
+                u = uni[i]
+                return cell if u is None else u
+
+            return load_reg, ()
+        if isinstance(op, MemDirect) and not rec_bus:
+            cell = mem[op.address]
             return (lambda k: cell), ()
         if isinstance(op, MemDirect):
             m = mem[op.address]
@@ -239,20 +250,28 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 return m
 
             return load_direct, (op.address, _DATA)
-        index = cell_index(op)
+        # a lane-uniform base reads one row; an address beyond memory
+        # raises IndexError on either path
+        index, bi, off = cell_index(op), op.base.index, op.offset
         if not rec_bus:
 
             def load_indexed(k):
+                u = uni[bi]
                 try:
-                    return flat[index(scratch)]
+                    return flat[index(scratch)] if u is None else mem[u + off]
                 except IndexError:
                     raise _beyond(op) from None
 
             return load_indexed, ()
 
         def load_indexed_rec(k):
+            u, at = uni[bi], cells[k + j]
             try:
-                v = flat[index(cells[k + j])]
+                if u is None:
+                    v = flat[index(at)]
+                else:
+                    v = mem[u + off]
+                    at.fill((u + off) * lanes)
             except IndexError:
                 raise _beyond(op) from None
             data[k + j + 1][...] = v
@@ -264,34 +283,65 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         """Closure storing a value vector/scalar into the destination and
         recording its events from slot j of the instruction on."""
         op = _fixed(op, mem_size)
-        if not isinstance(op, MemIndirect):
-            cell = regs[op.index] if isinstance(op, Register) else mem[op.address]
+        if isinstance(op, Register):
+            i, cell = op.index, regs[op.index]
+
+            def store_reg(v, k):
+                if type(v) is int:
+                    uni[i] = v
+                    cell.fill(v)
+                else:
+                    uni[i] = None
+                    cell[...] = v
+
+            if block is None:
+                return store_reg, ()
+
+            def store_reg_flips(v, k):
+                u = uni[i]
+                if type(v) is not int:
+                    np.bitwise_xor(cell, v, out=data[k + j])
+                elif u is None:
+                    np.bitwise_xor(cell, as_row(v), out=data[k + j])
+                else:
+                    data[k + j].fill(u ^ v)
+                store_reg(v, k)
+
+            return store_reg_flips, (_DATA,)
+        if isinstance(op, MemDirect):
+            cell = mem[op.address]
             if block is None:
 
                 def store_cell(v, k):
-                    cell[...] = v
+                    cell[...] = as_row(v)
 
                 return store_cell, ()
-            if isinstance(op, Register) or not bus:
+            if not bus:
 
                 def store_cell_flips(v, k):
+                    v = as_row(v)
                     np.bitwise_xor(cell, v, out=data[k + j])
                     cell[...] = v
 
                 return store_cell_flips, (_DATA,)
 
             def store_cell_rec(v, k):
+                v = as_row(v)
                 data[k + j + 1][...] = v
                 np.bitwise_xor(cell, v, out=data[k + j + 2])
                 cell[...] = v
 
             return store_cell_rec, (op.address, _DATA, _DATA)
-        index = cell_index(op)
+        index, bi, off = cell_index(op), op.base.index, op.offset
         if block is None:
 
             def store_indexed(v, k):
+                u, v = uni[bi], as_row(v)
                 try:
-                    flat[index(scratch)] = v
+                    if u is None:
+                        flat[index(scratch)] = v
+                    else:
+                        mem[u + off] = v
                 except IndexError:
                     raise _beyond(op) from None
 
@@ -300,14 +350,21 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         at_row, flips = (cells, j + 2) if bus else (None, j)
 
         def store_indexed_rec(v, k):
-            at = index(scratch if at_row is None else at_row[k + j])
+            # a lane-uniform base writes the row mem[at], else flat[at]
+            u, v = uni[bi], as_row(v)
+            if u is None:
+                target, at = flat, index(scratch if at_row is None else at_row[k + j])
+            else:
+                target, at = mem, u + off
+                if at_row is not None:
+                    at_row[k + j].fill(at * lanes)
             try:
-                np.bitwise_xor(flat[at], v, out=data[k + flips])
+                np.bitwise_xor(target[at], v, out=data[k + flips])
             except IndexError:
                 raise _beyond(op) from None
             if at_row is not None:
                 data[k + j + 1][...] = v
-            flat[at] = v
+            target[at] = v
 
         return store_indexed_rec, (_ADDR, _DATA, _DATA) if bus else (_DATA,)
 
@@ -365,10 +422,10 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             def f_br(k, la=a, lb=b, fn=fn, t=t, nxt=nxt, pc=pc):
                 cond = fn(la(k), lb(k), mask)
                 if isinstance(cond, np.ndarray):
-                    first = bool(cond[0])
-                    if not (cond == first).all():
+                    # a bool row is one byte per lane: count the lanes taken
+                    cond = cond.tobytes().count(1)
+                    if 0 < cond < lanes:
                         raise NonConstantTimeError(f"instruction {pc}: divergent branch")
-                    cond = first
                 return t if cond else nxt
 
             return f_br, slots
@@ -432,8 +489,11 @@ def batch_run(
     n = len(program.instructions)
     block = leak = None
     if weights is not None:
-        tables = _weight_tables(weights, program.word_width, program.mem_size, include_bus)
-        block = _Block(n_runs, *tables)
+        if np.shape(weights) != (program.word_width,):
+            raise ValueError(f"need {program.word_width} per-bit weights")
+        # float32 weights of every byte, and of every address with the bus
+        wtab, atab = weight_tables(weights, program.mem_size if include_bus else 0)
+        block = _Block(n_runs, wtab.astype(np.float32), atab.astype(np.float32) if include_bus else None)
     run_up = stop if block is None else min(start, stop)
     pc = cycle = 0
     # each instruction is compiled when first run, into a few closures and

@@ -270,15 +270,20 @@ class Verifier:
             vals = self._load(state, src, findings, idx)
             fn, mask = spec.fn, self.mask
             image = [fn(v, mask) for v in vals]
-            # an update of its own source pairs each old value with its image
-            pairs = frozenset(zip(vals, image)) if dest == src else None
+            # an update of its own source pairs each old value with its image;
+            # operands of two kinds never alias, and their dataclass __eq__
+            # would run twice to say so
+            alias = type(dest) is type(src) and dest == src
+            pairs = frozenset(zip(vals, image)) if alias else None
             self._store(state, dest, frozenset(image), findings, idx, pairs=pairs)
         elif spec.kind == "binary":
             dest, sa, sb = inst.operands
             a = self._load(state, sa, findings, idx)
             b = self._load(state, sb, findings, idx)
             f = spec.fn
-            alias_a, alias_b = dest == sa, dest == sb
+            cls = type(dest)
+            alias_a = type(sa) is cls and dest == sa
+            alias_b = type(sb) is cls and dest == sb
             image = set()
             pairs = set()
             for x in a:

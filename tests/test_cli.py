@@ -143,6 +143,25 @@ def test_equiv_pass(capsys, gate_file, tmp_path):
     assert rep["equivalence"]["checked"] == 4
 
 
+def test_tables_placed_without_la(capsys, tmp_path):
+    # the corpus uses cells 0-519 (its indexed operands may reach 288 + 255):
+    # the tables go to the first 16-aligned base above them, as -la 544 would
+    out = tmp_path / "dpl.asm"
+    code, rep = _run(capsys, ["-d", "-v", "-o", str(out), "corpus/present80.asm"])
+    assert code == cli.EXIT_OK
+    assert rep["transform"]["lut_bytes"] == 48
+    assert rep["verify"]["verdict"] == "balanced"
+    assert "mov @544 #0 ;@prologue" in out.read_text().splitlines()
+    code, rep = _run(capsys, ["equiv", "corpus/present80.asm", str(out)])
+    assert code == cli.EXIT_OK
+    assert rep["equivalence"]["passed"] is True
+    # an explicit base is still checked, and no free region is an error too
+    for argv in (["-la", "0"], ["-m", "560"]):
+        code, rep = _run(capsys, ["-d", *argv, "corpus/present80.asm"])
+        assert code == cli.EXIT_TRANSFORM
+        assert "error" in rep["transform"]
+
+
 def test_equiv_detects_mismatch(capsys, gate_file, tmp_path):
     out = tmp_path / "dpl.asm"
     assert cli.main(["-d", "-o", str(out), gate_file]) == cli.EXIT_OK

@@ -12,6 +12,7 @@ from dualrail.dpl import (
     expand_macro,
     gen_luts,
     lut_span,
+    place_tables,
     rewrite_not,
     transform,
 )
@@ -313,6 +314,20 @@ def test_transform_rejects_table_overlap():
     src = ";@sensitive @34\nxor r6 r4 @34\n"
     with pytest.raises(TransformError):
         transform(parse(src), CANON)  # xor table occupies [32,48)
+
+
+def test_place_tables_first_free_aligned_base():
+    # the xor table alone: cells [32, 48) above the base
+    assert place_tables(parse("xor r6 r4 r5\n"), CANON, 1024).lut_base == 0
+    assert place_tables(parse(";@sensitive @34\nxor r6 r4 @34\n"), CANON, 1024).lut_base == 16
+    # an indexed operand may reach its offset + 255: [20, 275] is taken
+    placed = place_tables(parse("xor r6 r4 !r5,20\n"), CANON, 1024)
+    assert placed.lut_base == 256 and placed.lut_base & placed.field_mask == 0
+    transform(parse("xor r6 r4 !r5,20\n"), placed)
+    with pytest.raises(TransformError, match="no aligned region below 300"):
+        place_tables(parse("xor r6 r4 !r5,20\n"), CANON, 300)
+    # no expanded gate, no tables: the configuration is kept
+    assert place_tables(parse("mov r6 !r5,0\n"), CANON, 16) is CANON
 
 
 def test_growth_ratio_reported():

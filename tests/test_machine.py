@@ -1,6 +1,9 @@
 """Concrete interpreter tests: instruction semantics, the transition event
 log, and per-cycle leakage aggregation."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from dualrail.asm import LinkError, parse, resolve
@@ -163,6 +166,30 @@ def test_cycle_leakage_weighted():
 def test_cycle_leakage_assigns_per_bit_weights():
     res = _run_src("mov r1 #1\n")  # flips bit 0 only
     assert cycle_leakage(res.events, [3.0] + [1.0] * 7) == [3.0]
+
+
+#: sha256 of cycle_leakage(...) as float64 bytes on one unprotected corpus
+#: run, recorded before cycle_leakage and batch_run shared weight_tables;
+#: with the bus, addresses above 255 weigh their bit 8 at 1.0
+CYCLE_LEAKAGE_PINS = {
+    False: "d8d857d8be57e350c1f81388db735879b17e5adfa753daa366dba12de340b80a",
+    True: "260c75f86a0e22d4bc406a6ead7364bb7692742c920096bc09c0c99437075e52",
+}
+
+
+def test_cycle_leakage_golden(linked_unprotected):
+    from conftest import TEST_KEY
+    from dualrail.present import corpus_init
+
+    weights = (1.3, 0.7, 1, 1.1, 0.9, 1, 1.2, 0.8)
+    pt = np.random.default_rng(11).integers(0, 1 << 64, size=1, dtype=np.uint64)
+    mem = corpus_init(pt, TEST_KEY, mem_size=linked_unprotected.mem_size)
+    init = MachineState([0] * linked_unprotected.n_regs, [int(v) for v in mem[:, 0]])
+    events = run(linked_unprotected, init).events
+    for bus, pin in CYCLE_LEAKAGE_PINS.items():
+        lk = cycle_leakage(events, weights, include_bus=bus)
+        assert len(lk) == 49450
+        assert hashlib.sha256(np.asarray(lk, dtype=np.float64).tobytes()).hexdigest() == pin
 
 
 def test_events_csv(tmp_path):

@@ -70,11 +70,17 @@ def _program():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_program(), st.integers(0, 2**32 - 1))
-def test_scalar_and_batch_engines_agree(prog, seed):
+@given(_program(), st.integers(0, 2**32 - 1), st.booleans(), st.sets(st.sampled_from(DEST_REGS)))
+def test_scalar_and_batch_engines_agree(prog, seed, uniform_index, uniform_regs):
+    """Registers drawn per lane, except the index register r1 when
+    uniform_index and the uniform_regs, which hold one value in every lane:
+    the batch engine runs those as ints, and indexes memory through a
+    uniform r1 by row."""
     lp, _ = prog
     rng = np.random.default_rng(seed)
     regs = rng.integers(0, 256, size=(lp.n_regs, LANES), dtype=np.uint8)
+    for i in ({1} | uniform_regs) if uniform_index else uniform_regs:
+        regs[i] = regs[i, 0]
     mem = rng.integers(0, 256, size=(lp.mem_size, LANES), dtype=np.uint8)
     weights = tuple(rng.uniform(0.5, 2.0, size=lp.word_width))
     res = batch_run(lp, LANES, init_memory=mem, init_registers=regs, weights=weights, include_bus=True)

@@ -182,6 +182,87 @@ def test_address_beyond_memory_is_machine_error(src):
         run(lp)
 
 
+@pytest.mark.parametrize("src", ["mov r2 !r1,900\n", "mov !r1,900 r2\n"])
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
+def test_uniform_base_beyond_memory_message(src, weights, bus):
+    # r1 the same in both lanes reads or writes one row; per lane it goes
+    # through flat cell indices: both stop with the same error
+    lp = resolve(parse(src))
+    regs = np.zeros((32, 2), dtype=np.uint8)
+    messages = []
+    for r1 in ([200, 200], [200, 201]):
+        regs[1] = r1
+        with pytest.raises(MachineError) as err:
+            batch_run(lp, 2, init_registers=regs, weights=weights, include_bus=bus)
+        messages.append(str(err.value))
+    assert messages == ["indexed address beyond memory (r1 + 900)"] * 2
+
+
+#: r2 goes lane-uniform (an immediate), varying (a load from data) and
+#: uniform again, indexing memory and counting a loop on each leg
+UNIFORM_TURNS = (
+    "mov r2 #3\n"
+    "mov !r2,400 r2\n"
+    "xor r4 r2 !r2,100\n"
+    "mov r2 @101\n"
+    "mov !r2,400 r4\n"
+    "xor r4 r4 !r2,100\n"
+    "add r3 r2 r4\n"
+    "mov r2 #0\n"
+    "top: xor r4 r4 !r2,100\n"
+    "mov !r2,410 r4\n"
+    "add r2 r2 #1\n"
+    "bne r2 #3 top\n"
+    "mov @102 r2\n"
+)
+
+
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
+def test_uniform_register_turns_match_scalar(weights, bus):
+    lp = resolve(parse(UNIFORM_TURNS))
+    mem = np.random.default_rng(6).integers(0, 256, size=(1024, 4), dtype=np.uint8)
+    mem[101] = [0, 5, 9, 5]
+    if weights is not None:
+        # each bit weighs its place value: a cycle's leakage is the sum of
+        # its event bytes (addresses add 1.0 per bit above the word), exact
+        # in float32 and float64 alike
+        weights = tuple(float(1 << i) for i in range(8))
+    res = batch_run(lp, 4, init_memory=mem, weights=weights, include_bus=bus)
+    for j in range(4):
+        scalar = run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
+        assert res.cycles == scalar.instruction_count == 21
+        assert list(res.registers[:, j]) == scalar.final_state.registers
+        assert list(res.memory[:, j]) == scalar.final_state.memory
+        if weights is not None:
+            lk = cycle_leakage(scalar.events, weights, include_bus=bus, n_cycles=res.cycles)
+            assert res.leakage[:, j].tobytes() == np.asarray(lk, dtype=np.float32).tobytes()
+
+
+#: a counted loop whose counter turns varying (adds data) at r2 = 3
+COUNTER_TURNS_VARYING = (
+    "mov r2 #0\n"
+    "top: add r2 r2 #1\n"
+    "bne r2 #3 next\n"
+    "add r2 r2 @100\n"
+    "next: bne r2 #6 top\n"
+)
+
+
+@pytest.mark.parametrize("weights", [None, (1.0,) * 8])
+def test_counter_turning_varying_is_divergent(weights):
+    lp = resolve(parse(COUNTER_TURNS_VARYING))
+    mem = np.zeros((1024, 2), dtype=np.uint8)
+    # the same data in both lanes: the counter is a row, but of one value
+    res = batch_run(lp, 2, init_memory=mem, weights=weights)
+    assert res.cycles == 20 and (res.registers[2] == 6).all()
+    # each lane halts on its own, but r2 = [3, 4] turns [5, 6] two passes on
+    mem[100] = [0, 1]
+    for j in (0, 1):
+        run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
+    with pytest.raises(NonConstantTimeError, match="instruction 4: divergent branch"):
+        batch_run(lp, 2, init_memory=mem, weights=weights)
+
+
 #: a counted loop with indexed and direct loads and stores: 1001 cycles
 #: that fill 2,401 event slots with the bus on
 INDEXED_LOOP = (
