@@ -150,8 +150,9 @@ def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-cl", action="store_true",
                     help="compact the operator tables (overlap their zero entries)")
     ap.add_argument("-la", type=int, default=None, metavar="ADDR",
-                    help="base memory address of the operator tables (default: "
-                         "the lowest aligned one clear of the program's cells)")
+                    help="base memory address of the operator tables (default 0; "
+                         "-d places them at the lowest aligned base clear of "
+                         "the program's cells)")
     ap.add_argument("-r1", type=int, default=20, metavar="REG",
                     help="first scratch register (default 20)")
     ap.add_argument("-r2", type=int, default=21, metavar="REG",

@@ -394,17 +394,16 @@ def _ops_used(p: Program, actions: dict) -> set[str]:
     return {p.instructions[i].opcode for i, act in actions.items() if act == EXPAND}
 
 
-def place_tables(p: Program, cfg: DplConfig, mem_size: int, word_width: int = 8) -> DplConfig:
+def place_tables(p: Program, cfg: DplConfig, mem_size: int) -> DplConfig:
     """cfg with lut_base at the lowest aligned base whose tables for p fit
     below mem_size and touch no cell p declares or may address: an indexed
-    operand may reach every cell from its offset to offset + the largest
-    word.  cfg itself when p needs no tables."""
-    cfg.validate(word_width)
+    operand may reach every cell from its offset to offset + 255, the
+    largest 8-bit word.  cfg itself when p needs no tables."""
     stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p, classify(p)[0]))[1]
     offsets = [s.operands[0].address for s in stores]
     if not offsets:
         return cfg
-    taken = _used_cells(p, reach=(1 << word_width) - 1)
+    taken = _used_cells(p, reach=255)
     for base in range(mem_size - max(offsets)):
         if not base & cfg.field_mask and taken.isdisjoint([base + o for o in offsets]):
             return replace(cfg, lut_base=base)
