@@ -200,8 +200,6 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     consts: dict = {}
 
     def as_row(v):
-        if type(v) is not int:
-            return v
         row = consts.get(v)
         if row is None:
             row = consts[v] = np.full(lanes, v, dtype=np.uint8)
@@ -297,15 +295,20 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             if block is None:
                 return store_reg, ()
 
+            # store_reg inlined: this runs once per register write
             def store_reg_flips(v, k):
-                u = uni[i]
-                if type(v) is not int:
-                    np.bitwise_xor(cell, v, out=data[k + j])
-                elif u is None:
-                    np.bitwise_xor(cell, as_row(v), out=data[k + j])
+                if type(v) is int:
+                    u = uni[i]
+                    if u is None:
+                        np.bitwise_xor(cell, as_row(v), out=data[k + j])
+                    else:
+                        data[k + j].fill(u ^ v)
+                    uni[i] = v
+                    cell.fill(v)
                 else:
-                    data[k + j].fill(u ^ v)
-                store_reg(v, k)
+                    np.bitwise_xor(cell, v, out=data[k + j])
+                    uni[i] = None
+                    cell[...] = v
 
             return store_reg_flips, (_DATA,)
         if isinstance(op, MemDirect):
@@ -313,20 +316,22 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             if block is None:
 
                 def store_cell(v, k):
-                    cell[...] = as_row(v)
+                    cell[...] = v
 
                 return store_cell, ()
             if not bus:
 
                 def store_cell_flips(v, k):
-                    v = as_row(v)
+                    if type(v) is int:
+                        v = as_row(v)
                     np.bitwise_xor(cell, v, out=data[k + j])
                     cell[...] = v
 
                 return store_cell_flips, (_DATA,)
 
             def store_cell_rec(v, k):
-                v = as_row(v)
+                if type(v) is int:
+                    v = as_row(v)
                 data[k + j + 1][...] = v
                 np.bitwise_xor(cell, v, out=data[k + j + 2])
                 cell[...] = v
@@ -336,7 +341,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         if block is None:
 
             def store_indexed(v, k):
-                u, v = uni[bi], as_row(v)
+                u = uni[bi]
                 try:
                     if u is None:
                         flat[index(scratch)] = v
@@ -351,7 +356,9 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
 
         def store_indexed_rec(v, k):
             # a lane-uniform base writes the row mem[at], else flat[at]
-            u, v = uni[bi], as_row(v)
+            u = uni[bi]
+            if type(v) is int:
+                v = as_row(v)
             if u is None:
                 target, at = flat, index(scratch if at_row is None else at_row[k + j])
             else:
