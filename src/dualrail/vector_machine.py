@@ -30,9 +30,12 @@ every lane holds, or None when the lanes differ.  A register read returns
 that int when it is set, so an instruction whose operands are all uniform
 runs its ``asm.OPS`` function on Python ints, an indexed operand with a
 uniform base reads or writes one memory row, and a branch on uniform
-operands decides without numpy.  Every register store still writes the
-register's row (an int fills it), so the rows stay the ground truth: each
-compiler builds the shadow from them, and results are read from them.
+operands decides without numpy.  An int that meets a row in arithmetic,
+or is stored to memory, goes as a cached constant row: numpy is about
+twice as slow on a row and a Python int.  Every register store still
+writes the register's row (an int fills it), so the rows stay the ground
+truth: each compiler builds the shadow from them, and results are read
+from them.
 
 Each instruction is compiled into closures when it first runs,
 specialised on operand kind and on whether leakage and bus events are
@@ -197,13 +200,17 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     bases: dict = {}
     # a numpy call on a row and a Python int costs about twice one on two
     # rows (row & 3: 0.87 against 0.50 us at 100 lanes), so an int that
-    # meets a row, or goes to memory, goes as a constant row
+    # meets a row, or goes to memory, goes as a constant row.  The rows
+    # are cut from one zeroed table: rows made one by one mid-run left the
+    # heap 1.7 MB larger at 10^4 lanes, and untouched rows cost no memory
     const_rows = [None] * (mask + 1)
+    table = np.zeros((mask + 1, lanes), dtype=np.uint8)
 
     def as_row(v):
         row = const_rows[v]
         if row is None:
-            row = const_rows[v] = np.full(lanes, v, dtype=np.uint8)
+            row = const_rows[v] = table[v]
+            row.fill(v)
         return row
 
     mask_row = as_row(mask)
