@@ -201,10 +201,11 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     # a numpy call on a row and a Python int costs about twice one on two
     # rows (row & 3: 0.87 against 0.50 us at 100 lanes), so an int that
     # meets a row, or goes to memory, goes as a constant row.  The rows
-    # are cut from one zeroed table: rows made one by one mid-run left the
-    # heap 1.7 MB larger at 10^4 lanes, and untouched rows cost no memory
+    # are cut from one uninitialised table, so that only the rows used are
+    # ever written: rows made one by one mid-run left the heap 1.7 MB
+    # larger at 10^4 lanes, and a zeroed table touched all of its pages
     const_rows = [None] * (mask + 1)
-    table = np.zeros((mask + 1, lanes), dtype=np.uint8)
+    table = np.empty((mask + 1, lanes), dtype=np.uint8)
 
     def as_row(v):
         row = const_rows[v]
@@ -537,6 +538,7 @@ def batch_run(
             pc = f(0)
             cycle += 1
         if block is not None:
+            del make, fns  # the run-up's closures and constant rows go first
             make = _compiler(program, regs, mem, block, include_bus)
             pc, cycle, leak = block.run(make, pc, cycle, stop, n, start, end)
     finally:
