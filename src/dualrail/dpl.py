@@ -113,6 +113,8 @@ class DplConfig:
             raise TransformError("compact tables need a nonzero pattern offset")
         if len(self.reserved) != 4:
             raise TransformError("scratch registers and zero register must be distinct")
+        if min(self.reserved) < 0:
+            raise TransformError(f"negative register in scratch {self.scratch} or zero register {self.zero_reg}")
 
     def encode(self, bit: int) -> int:
         if bit not in (0, 1):
@@ -428,7 +430,7 @@ def transform(p: Program, cfg: DplConfig, strict: bool = False) -> tuple[Program
     lut_bytes = len(stores)
     if lut_bytes:
         reserved_cells = {s.operands[0].address for s in stores}
-        overlap = _used_cells(p) & reserved_cells
+        overlap = _used_cells(p, reach=255) & reserved_cells
         if overlap:
             raise TransformError(
                 f"tables [{min(reserved_cells)},{max(reserved_cells)}] "

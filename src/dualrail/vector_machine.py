@@ -14,8 +14,8 @@ preallocated (slot x lanes) block: an update its flip mask (old xor new),
 a data-bus event the value moved, an indexed address-bus event the flat
 cell index.  A direct address is the same in every lane, so its slot holds
 nothing at run time.  Control flow is the same in every lane, so which
-slots an instruction fills, and of which kind, is fixed when it is
-compiled.  When the block fills, or the window ends, it is weighted at
+slots an instruction fills, and of which kind, is fixed by its operand
+kinds.  When the block fills, or the window ends, it is weighted at
 once: one table gather turns every byte into its float32 weight, and each
 cycle's weights are then added one by one in event order, starting from
 0.0, the order in which adding each event's weight as it happens would
@@ -37,10 +37,15 @@ writes the register's row (an int fills it), so the rows stay the ground
 truth: each compiler builds the shadow from them, and results are read
 from them.
 
-Each instruction is compiled into closures when it first runs,
-specialised on operand kind and on whether leakage and bus events are
-recorded, so a run without leakage pays for no recording and the run-up
-to a trace window compiles only what it executes.
+A pc's first visit runs through one generic step that dispatches on
+operand type and is not cached.  Only a pc that runs again is compiled,
+into closures specialised on operand kind and on whether leakage and bus
+events are recorded.  Straight-line code, which runs each instruction
+once, thus compiles nothing, and a loop compiles each pc of its body
+once.  Both paths take an instruction's slot codes from one function,
+``_layout``, so they fill the same slots.  A run without leakage pays for
+no recording, and the run-up to a trace window compiles only what it
+executes twice.
 """
 from __future__ import annotations
 
@@ -108,16 +113,15 @@ class _Block:
         self.weights = np.empty((self.slots, lanes), dtype=np.float32)
         self.lanes, self.wtab, self.atab = lanes, wtab, atab
 
-    def run(self, make, pc: int, cycle: int, stop: int, n: int, start: int, end: int | None):
-        """Run from pc at `cycle` until halt or `stop`, recording every
-        cycle from `start` on; returns (pc, cycle, leakage), row i of the
-        leakage being cycle start + i.  A fixed window end allocates its
-        end - start rows.  An open end allocates at least PIECE_BYTES,
-        grows the matrix in place by one block's rows whenever it runs
-        out, and cuts it to the rows used at halt."""
-        # per pc: closure, slot count and slot codes, filled when first run
-        fns, count, layout = [None] * n, [0] * n, [()] * n
-        full = self.slots - _MAX_SLOTS
+    def run(self, code, pc: int, cycle: int, stop: int, start: int, end: int | None):
+        """Run the compiler output `code` from pc at `cycle` until halt or
+        `stop`, recording every cycle from `start` on; returns (pc, cycle,
+        leakage), row i of the leakage being cycle start + i.  A fixed
+        window end allocates its end - start rows.  An open end allocates
+        at least PIECE_BYTES, grows the matrix in place by one block's rows
+        whenever it runs out, and cuts it to the rows used at halt."""
+        steps, count, layout = code
+        n, full = len(steps), self.slots - _MAX_SLOTS
         row = max(0, cycle - start)  # a negative start keeps zero rows before cycle 0
         rows = max(row, PIECE_BYTES // (4 * self.lanes)) if end is None else end - start
         leak = np.zeros((rows, self.lanes), dtype=np.float32)
@@ -125,23 +129,20 @@ class _Block:
             trace, k = [], 0
             last = min(stop, cycle + self.slots)
             while pc < n and cycle < last and k <= full:
-                f = fns[pc]
-                if f is None:
-                    f, slots = make(pc)
-                    fns[pc], count[pc], layout[pc] = f, len(slots), slots
                 trace.append(pc)
-                j = k
-                k += count[pc]
-                pc = f(j)
+                nxt = steps[pc](pc, k)
+                k += count[pc]  # known once the pc has run
+                pc = nxt
                 cycle += 1
             if row + len(trace) > len(leak):  # only an open end runs out
-                # no view of leak is alive here, so numpy's reference check
-                # passes; realloc remaps the pages rather than copying them
-                leak.resize((len(leak) + self.slots, self.lanes))
+                # no view of leak is alive here; realloc remaps the pages
+                # rather than copying them.  A profiler's call event holds
+                # a bound method of leak, so numpy's reference check is off
+                leak.resize((len(leak) + self.slots, self.lanes), refcheck=False)
             self.weigh(trace, count, layout, k, leak[row : row + len(trace)])
             row += len(trace)
         if end is None:
-            leak.resize((row, self.lanes))
+            leak.resize((row, self.lanes), refcheck=False)
         return pc, cycle, leak
 
     def weigh(self, trace, count, layout, k: int, out) -> None:
@@ -179,16 +180,46 @@ def _beyond(op) -> MachineError:
     return MachineError(f"indexed address beyond memory (r{op.base.index} + {op.offset})")
 
 
+def _layout(srcs, dest, bus: bool) -> tuple:
+    """Slot codes of an instruction's events in a recorded cycle: with the
+    bus, each memory operand's address and data-bus slots, in operand order
+    (sources, then the destination); then the destination's flips slot.  A
+    load's data-bus slot and a store's flips slot are thus each its last."""
+    codes = []
+    if bus:
+        for op in (*srcs, dest):
+            cls = type(op)
+            if cls is MemDirect:
+                codes += op.address, _DATA
+            elif cls is MemIndirect:
+                base = op.base
+                codes += _ADDR if type(base) is Register else base.value + op.offset, _DATA
+    if dest is not None:
+        codes.append(_DATA)
+    return tuple(codes)
+
+
+#: the layout of an instruction that records no bus event: its flips slot
+_FLIPS = _layout((), Register(0), False)
+
+
 def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool):
-    """make(pc) -> (closure, slot codes) for instruction pc.  The closure
-    takes the index of its cycle's first slot in the block and returns the
-    next pc; without a block it records nothing and ignores the index.
-    Results of the OPS functions are stored as they come: on uint8 rows and
-    small immediates they stay uint8, and on lane-uniform ints they are
-    ints."""
-    mem_size, lanes = program.mem_size, regs.shape[1]
+    """(steps, count, layout) of a run on regs and mem.  steps[pc](pc, k)
+    runs instruction pc, recording its events from slot k of the block on,
+    and returns the next pc; without a block it records nothing and ignores
+    k.  With a block, count[pc] and layout[pc] are the slot count and slot
+    codes (``_layout``) of an instruction that has run.
+
+    A pc's first visit goes through one generic step, built once and
+    shared by every pc; its second visit compiles the pc into closures
+    specialised on operand kind and on what is recorded, which every later
+    visit calls.  Code that runs once, as straight-line netlists do, thus
+    builds no closure, and a loop compiles each pc once.  Results of the
+    OPS functions are stored as they come: on uint8 rows and small
+    immediates they stay uint8, and on lane-uniform ints they are ints."""
+    instructions, mem_size, lanes = program.instructions, program.mem_size, regs.shape[1]
     mask = (1 << program.word_width) - 1
-    flat = mem.reshape(-1)
+    flat, rows = mem.reshape(-1), list(regs)
     scratch = np.empty(lanes, dtype=np.intp)
     # the lane-uniform shadow of regs: per register the int every lane
     # holds, or None; stores write through, so regs stays the ground truth
@@ -220,7 +251,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         """Fills a flat index row (address * lanes + lane) for an indexed
         operand; indexing `flat` with it raises IndexError exactly when an
         address lies beyond memory."""
-        rb, off = regs[op.base.index], op.offset
+        rb, off = rows[op.base.index], op.offset
         base = bases.get(off)
         if base is None:
             base = bases[off] = np.arange(lanes) + off * lanes
@@ -239,18 +270,18 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         op = _fixed(op, mem_size)
         if isinstance(op, Immediate):
             v = op.value
-            return (lambda k: v), ()
+            return lambda k: v
         if isinstance(op, Register):
-            i, cell = op.index, regs[op.index]
+            i, cell = op.index, rows[op.index]
 
             def load_reg(k):
                 u = uni[i]
                 return cell if u is None else u
 
-            return load_reg, ()
+            return load_reg
         if isinstance(op, MemDirect) and not rec_bus:
             cell = mem[op.address]
-            return (lambda k: cell), ()
+            return lambda k: cell
         if isinstance(op, MemDirect):
             m = mem[op.address]
 
@@ -258,7 +289,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 data[k + j + 1][...] = m
                 return m
 
-            return load_direct, (op.address, _DATA)
+            return load_direct
         # a lane-uniform base reads one row; an address beyond memory
         # raises IndexError on either path
         index, bi, off = cell_index(op), op.base.index, op.offset
@@ -271,7 +302,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 except IndexError:
                     raise _beyond(op) from None
 
-            return load_indexed, ()
+            return load_indexed
 
         def load_indexed_rec(k):
             u, at = uni[bi], cells[k + j]
@@ -286,14 +317,14 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             data[k + j + 1][...] = v
             return v
 
-        return load_indexed_rec, (_ADDR, _DATA)
+        return load_indexed_rec
 
     def store(op, j):
         """Closure storing a value vector/scalar into the destination and
         recording its events from slot j of the instruction on."""
         op = _fixed(op, mem_size)
         if isinstance(op, Register):
-            i, cell = op.index, regs[op.index]
+            i, cell = op.index, rows[op.index]
 
             def store_reg(v, k):
                 if type(v) is int:
@@ -304,7 +335,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                     cell[...] = v
 
             if block is None:
-                return store_reg, ()
+                return store_reg
 
             # store_reg inlined: this runs once per register write
             def store_reg_flips(v, k):
@@ -321,7 +352,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                     uni[i] = None
                     cell[...] = v
 
-            return store_reg_flips, (_DATA,)
+            return store_reg_flips
         if isinstance(op, MemDirect):
             cell = mem[op.address]
             if block is None:
@@ -329,7 +360,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 def store_cell(v, k):
                     cell[...] = as_row(v) if type(v) is int else v
 
-                return store_cell, ()
+                return store_cell
             if not bus:
 
                 def store_cell_flips(v, k):
@@ -338,7 +369,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                     np.bitwise_xor(cell, v, out=data[k + j])
                     cell[...] = v
 
-                return store_cell_flips, (_DATA,)
+                return store_cell_flips
 
             def store_cell_rec(v, k):
                 if type(v) is int:
@@ -347,7 +378,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 np.bitwise_xor(cell, v, out=data[k + j + 2])
                 cell[...] = v
 
-            return store_cell_rec, (op.address, _DATA, _DATA)
+            return store_cell_rec
         index, bi, off = cell_index(op), op.base.index, op.offset
         if block is None:
 
@@ -363,7 +394,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 except IndexError:
                     raise _beyond(op) from None
 
-            return store_indexed, ()
+            return store_indexed
         # address, data bus and flips slots, or the flips slot alone
         at_row, flips = (cells, j + 2) if bus else (None, j)
 
@@ -386,60 +417,24 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 data[k + j + 1][...] = v
             target[at] = v
 
-        return store_indexed_rec, (_ADDR, _DATA, _DATA) if bus else (_DATA,)
-
-    # one closure per distinct operand and first slot: straight-line code
-    # reuses few registers and each cell a few times
-    operands: dict = {}
-
-    def operand(build, op, j):
-        got = operands.get((build, op, j))
-        if got is None:
-            got = operands[build, op, j] = build(op, j)
-        return got
-
-    def decode(inst):
-        """kind, OPS function, operand closures, target and slot codes"""
-        spec, ops = OPS[inst.opcode], inst.operands
-        a = b = st = t = None
-        slots = ()
-        if spec.kind == "jump":
-            t = ops[0].index
-        elif spec.kind == "branch":
-            a, sa = operand(load, ops[0], 0)
-            b, sb = operand(load, ops[1], len(sa))
-            t, slots = ops[2].index, sa + sb
-        elif spec.kind == "unary":
-            a, sa = operand(load, ops[1], 0)
-            st, ss = operand(store, ops[0], len(sa))
-            slots = sa + ss
-        elif spec.kind == "binary":
-            a, sa = operand(load, ops[1], 0)
-            b, sb = operand(load, ops[2], len(sa))
-            st, ss = operand(store, ops[0], len(sa) + len(sb))
-            slots = sa + sb + ss
-        return spec.kind, spec.fn, a, b, st, t, slots
-
-    # one decoding per instruction object: the transform shares its macros'
-    # fixed instructions between gates, and ids key the cache without
-    # hashing dataclasses
-    decoded: dict = {}
+        return store_indexed_rec
 
     def make(pc):
-        inst = program.instructions[pc]
-        got = decoded.get(id(inst))
-        if got is None:
-            got = decoded[id(inst)] = decode(inst)
-        kind, fn, a, b, st, t, slots = got
-        nxt = pc + 1
+        """The closure specialised for instruction pc."""
+        spec, ops = OPS[instructions[pc].opcode], instructions[pc].operands
+        kind, fn, nxt = spec.kind, spec.fn, pc + 1
         # closures take their constants as defaults: no cells to create
         if kind == "nop":
-            return (lambda k, nxt=nxt: nxt), slots
+            return lambda pc, k, nxt=nxt: nxt
         if kind == "jump":
-            return (lambda k, t=t: t), slots
+            return lambda pc, k, t=ops[0].index: t
+        srcs = ops[:2] if kind == "branch" else ops[1:]
+        # each operand's events start where _layout puts them
+        loads = [load(op, len(_layout(srcs[:i], None, rec_bus))) for i, op in enumerate(srcs)]
+        a, b = loads[0], loads[-1]
         if kind == "branch":
 
-            def f_br(k, la=a, lb=b, fn=fn, t=t, nxt=nxt, pc=pc):
+            def f_br(pc, k, la=a, lb=b, fn=fn, t=ops[2].index, nxt=nxt):
                 cond = fn(la(k), lb(k), mask)
                 if isinstance(cond, np.ndarray):
                     # a bool row is one byte per lane: count the lanes taken
@@ -448,16 +443,17 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                         raise NonConstantTimeError(f"instruction {pc}: divergent branch")
                 return t if cond else nxt
 
-            return f_br, slots
+            return f_br
+        st = store(ops[0], len(_layout(srcs, None, rec_bus)))
         if kind == "unary":
 
-            def f_unary(k, ld=a, st=st, fn=fn, nxt=nxt):
+            def f_unary(pc, k, ld=a, st=st, fn=fn, nxt=nxt):
                 st(fn(ld(k), mask), k)
                 return nxt
 
-            return f_unary, slots
+            return f_unary
 
-        def f_binary(k, la=a, lb=b, st=st, fn=fn, nxt=nxt):
+        def f_binary(pc, k, la=a, lb=b, st=st, fn=fn, nxt=nxt):
             x, y = la(k), lb(k)
             if type(x) is int:
                 if type(y) is int:
@@ -469,9 +465,115 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             st(fn(x, y, mask_row), k)
             return nxt
 
-        return f_binary, slots
+        return f_binary
 
-    return make
+    def again(pc, k):
+        """A pc's second visit: compile it, then run its closure."""
+        f = steps[pc] = make(pc)
+        return f(pc, k)
+
+    def first(pc, k):
+        """A pc's first visit: the generic step.  It dispatches on operand
+        type, keeps the shadow and fills the slots as the closures do; a
+        branch goes to `again` at once."""
+        steps[pc] = again
+        inst = instructions[pc]
+        spec, ops = OPS[inst.opcode], inst.operands
+        kind, fn = spec.kind, spec.fn
+        if kind == "nop":
+            return pc + 1
+        if kind == "jump":
+            return ops[0].index
+        if kind == "branch":
+            if block is not None:
+                slots = layout[pc] = _layout(ops[:2], None, bus)
+                count[pc] = len(slots)
+            return again(pc, k)
+        dest, srcs = ops[0], ops[1:]
+        x = y = None
+        touched = False  # a memory access: with the bus, more than _FLIPS
+        for op in srcs:
+            cls = type(op)
+            if cls is Immediate:
+                v = op.value
+            elif cls is Register:
+                v = uni[op.index]
+                if v is None:
+                    v = rows[op.index]
+            else:
+                touched = True
+                if cls is MemIndirect and type(op.base) is Register:
+                    target, at = indexed(op, k)
+                    try:
+                        v = target[at]
+                    except IndexError:
+                        raise _beyond(op) from None
+                else:
+                    v = mem[op.address if cls is MemDirect else _fixed(op, mem_size).address]
+                if rec_bus:
+                    data[k + 1][...] = v
+                    k += 2
+            x, y = y, v
+        if kind == "unary":
+            v = fn(y, mask)
+        elif type(x) is int and type(y) is int:
+            v = fn(x, y, mask)
+        else:
+            v = fn(as_row(x) if type(x) is int else x, as_row(y) if type(y) is int else y, mask_row)
+        cls = type(dest)
+        if block is not None:
+            touched = rec_bus and (touched or cls is not Register)
+            slots = layout[pc] = _layout(srcs, dest, bus) if touched else _FLIPS
+            count[pc] = len(slots)
+        if cls is Register:
+            i = dest.index
+            cell, u = rows[i], uni[i]
+            if type(v) is int:
+                if block is not None:
+                    if u is None:
+                        np.bitwise_xor(cell, as_row(v), out=data[k])
+                    else:
+                        data[k].fill(u ^ v)
+                uni[i] = v
+                cell.fill(v)
+            else:
+                if block is not None:
+                    np.bitwise_xor(cell, v, out=data[k])
+                uni[i] = None
+                cell[...] = v
+            return pc + 1
+        if type(v) is int:
+            v = as_row(v)
+        if cls is MemIndirect and type(dest.base) is Register:
+            target, at = indexed(dest, k)
+        else:
+            target, at = mem, dest.address if cls is MemDirect else _fixed(dest, mem_size).address
+        try:
+            if block is not None:
+                if bus:
+                    data[k + 1][...] = v
+                    k += 2
+                np.bitwise_xor(target[at], v, out=data[k])
+            target[at] = v
+        except IndexError:
+            raise _beyond(dest) from None
+        return pc + 1
+
+    def indexed(op, k):
+        """(target, at) of an indexed operand on its first visit: its cell
+        is the row mem[u + offset] for a lane-uniform base u, else flat[at],
+        `at` a row of cell indices.  With the bus, slot k gets the address."""
+        u = uni[op.base.index]
+        if u is None:
+            return flat, cell_index(op)(cells[k] if rec_bus else scratch)
+        at = u + op.offset
+        if rec_bus:
+            cells[k].fill(at * lanes)
+        return mem, at
+
+    n = len(instructions)
+    steps, count, layout = [first] * n, [0] * n, [()] * n
+    return steps, count, layout
 
 
 def batch_run(
@@ -524,24 +626,25 @@ def batch_run(
         block = _Block(n_runs, wtab.astype(np.float32), atab.astype(np.float32) if include_bus else None)
     run_up = stop if block is None else min(start, stop)
     pc = cycle = 0
-    # each instruction is compiled when first run, into a few closures and
-    # no reference cycles; with the collector on, a long straight-line
-    # program would set off full collections over every live object
+    # compiling makes many small objects; with the collector on, a long
+    # program would set off full collections over every live object.  The
+    # steps refer to the compiler that refers to them, so clearing them
+    # frees a compiler's closures, rows and block views at once
     collecting = gc.isenabled()
     gc.disable()
+    steps = []
     try:
-        make, fns = _compiler(program, regs, mem, None, False), [None] * n
+        steps = _compiler(program, regs, mem, None, False)[0]
         while pc < n and cycle < run_up:
-            f = fns[pc]
-            if f is None:
-                f = fns[pc] = make(pc)[0]
-            pc = f(0)
+            pc = steps[pc](pc, 0)
             cycle += 1
         if block is not None:
-            del make, fns  # the run-up's closures and constant rows go first
-            make = _compiler(program, regs, mem, block, include_bus)
-            pc, cycle, leak = block.run(make, pc, cycle, stop, n, start, end)
+            steps.clear()  # the run-up's closures and constant rows go first
+            code = _compiler(program, regs, mem, block, include_bus)
+            steps = code[0]
+            pc, cycle, leak = block.run(code, pc, cycle, stop, start, end)
     finally:
+        steps.clear()
         if collecting:
             gc.enable()
     if pc < n and (end is None or cycle < end):

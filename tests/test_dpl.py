@@ -68,6 +68,8 @@ def test_all_layouts_validate():
         dict(bit_f=1, bit_t=0, pattern_lo=0, compact=True),  # compact needs lo>0
         dict(bit_f=1, bit_t=0, pattern_lo=0, scratch=(20, 20, 22)),  # dup scratch
         dict(bit_f=8, bit_t=7, pattern_lo=7),  # outside word
+        dict(bit_f=1, bit_t=0, pattern_lo=0, scratch=(-1, 21, 22)),  # negative scratch
+        dict(bit_f=1, bit_t=0, pattern_lo=0, zero_reg=-1),  # negative zero register
     ],
 )
 def test_invalid_configs(kw):
@@ -314,6 +316,23 @@ def test_transform_rejects_table_overlap():
     src = ";@sensitive @34\nxor r6 r4 @34\n"
     with pytest.raises(TransformError):
         transform(parse(src), CANON)  # xor table occupies [32,48)
+
+
+def test_transform_rejects_negative_scratch_register():
+    # caught by validate, before the program would name r-1
+    with pytest.raises(TransformError, match="negative register"):
+        transform(parse("and r6 r4 r5\n"), DplConfig(scratch=(-1, 21, 22)))
+
+
+def test_transform_rejects_tables_an_indexed_store_reaches():
+    # mov !r1,10 with r1 = 28 writes cell 38 of the xor table at [32, 48):
+    # an indexed operand counts its offset through offset + 255
+    src = (
+        ";@sensitive @300-301\n;@output @302\n"
+        "mov r1 #28\nmov !r1,10 @300\nxor @302 @301 @300\n"
+    )
+    with pytest.raises(TransformError, match=r"tables \[32,47\] overlap program cells"):
+        transform(parse(src), DplConfig(lut_base=0))
 
 
 def test_place_tables_first_free_aligned_base():

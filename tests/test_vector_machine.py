@@ -1,7 +1,11 @@
 """Batched interpreter tests: lockstep agreement with the scalar machine,
 constant-time enforcement, and windowed leakage extraction."""
 
+import cProfile
+import gc
 import hashlib
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -296,6 +300,134 @@ def test_open_window_across_block_flushes(monkeypatch):
         st = MachineState(registers=[0] * 32, memory=[int(v) for v in mem[:, j]])
         lk = cycle_leakage(run(lp, init=st).events, PIN_WEIGHTS, include_bus=True, n_cycles=1001)
         np.testing.assert_allclose(one_block.leakage[:, j], lk, rtol=1e-6)
+
+
+#: a branch-free body on every operand kind: direct, immediate-based and
+#: indexed loads and stores, indexed on a lane-uniform base (r2 = 3) and
+#: on a varying one (r2 from @101), with r2 going uniform -> varying ->
+#: uniform; ints meet rows and ints meet ints, and a uniform register
+#: turns another uniform value
+BODY = (
+    "mov r2 #3\n"
+    "xor r4 r2 !r2,100\n"
+    "mov !r2,400 r4\n"
+    "mov r2 @101\n"
+    "mov !r2,400 r4\n"
+    "xor r4 r4 !r2,100\n"
+    "add r3 r2 r4\n"
+    "mov r2 #0\n"
+    "mov r6 @102\n"
+    "and r7 r6 #3\n"
+    "orr r7 r7 r2\n"
+    "mov @103 r7\n"
+    "mov @104 #5\n"
+    "mov @105 r2\n"
+    "mov r8 !#200,5\n"
+    "mov !#210,5 r8\n"
+    "not r10 r6\n"
+    "lsl r11 r9 #1\n"
+    "mov r12 r11\n"
+    "mov !r2,420 r12\n"
+    "mov r13 !r2,420\n"
+    "mov r14 #6\n"
+    "xor r14 r14 #3\n"
+)
+#: the body run once, and three times in a counted loop
+STRAIGHT = BODY
+LOOPED = "mov r9 #0\ntop: " + BODY + "add r9 r9 #1\nbne r9 #3 top\n"
+
+
+@pytest.mark.parametrize("src,cycles", [(STRAIGHT, 23), (LOOPED, 76)])
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
+def test_first_visit_and_compiled_match_scalar(src, cycles, weights, bus):
+    # every pc of the body runs once through the generic step; in the loop
+    # it is compiled on the second pass and runs compiled on the third
+    lp = resolve(parse(src))
+    mem = np.random.default_rng(8).integers(0, 256, size=(1024, 4), dtype=np.uint8)
+    mem[101] = [0, 5, 9, 5]
+    if weights is not None:
+        weights = tuple(float(1 << i) for i in range(8))  # place values: exact sums
+    res = batch_run(lp, 4, init_memory=mem, weights=weights, include_bus=bus)
+    for j in range(4):
+        scalar = run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
+        assert res.cycles == scalar.instruction_count == cycles
+        assert list(res.registers[:, j]) == scalar.final_state.registers
+        assert list(res.memory[:, j]) == scalar.final_state.memory
+        if weights is not None:
+            lk = cycle_leakage(scalar.events, weights, include_bus=bus, n_cycles=res.cycles)
+            assert res.leakage[:, j].tobytes() == np.asarray(lk, dtype=np.float32).tobytes()
+
+
+def _compiles(call):
+    """pc -> how often `call` compiled it: calls of the compiler's `make`,
+    counted by a profile hook."""
+    make = next(c for c in vector_machine._compiler.__code__.co_consts if getattr(c, "co_name", "") == "make")
+    counts = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is make:
+            counts[frame.f_locals["pc"]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
+def test_straight_line_compiles_nothing(weights, bus):
+    # 2,000 distinct instructions over every operand kind, each run once
+    forms = ("mov r{r} @{a}", "xor r{r} r{s} !r1,{a}", "mov @{b} r{r}", "and r{r} r{s} #{c}",
+             "mov !r1,{b} r{s}", "orr @{b} @{a} r{s}", "mov r{r} !#{a},1", "not @{b} r{s}")
+    lines = [forms[i % 8].format(r=2 + i % 7, s=2 + i % 5, a=i // 4, b=500 + i // 4, c=i // 8)
+             for i in range(2000)]
+    lp = resolve(parse("\n".join(lines) + "\n"))
+    assert len(set(lp.instructions)) == 2000
+    mem = np.random.default_rng(2).integers(0, 256, size=(1024, 3), dtype=np.uint8)
+    regs = np.zeros((32, 3), dtype=np.uint8)
+    regs[1] = [0, 3, 7]  # a varying base
+    kw = dict(init_memory=mem, init_registers=regs, weights=weights, include_bus=bus)
+    assert _compiles(lambda: batch_run(lp, 3, **kw)) == Counter()
+
+
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, True)])
+def test_loop_compiles_each_pc_once(weights, bus):
+    lp = resolve(parse(INDEXED_LOOP))  # pc 0 runs once, pcs 1-5 200 times
+    res = []
+    counts = _compiles(lambda: res.append(batch_run(lp, 2, weights=weights, include_bus=bus)))
+    assert res[0].cycles == 1001
+    assert counts == Counter(range(1, 6))
+
+
+def test_run_leaves_no_reference_cycle():
+    # a compiler's steps refer to the compiler: batch_run breaks that cycle,
+    # so the block and rows go when it returns, not when the collector runs
+    lp = resolve(parse(INDEXED_LOOP))
+    for window in ((0, None), (300, 400)):
+        gc.collect()
+        gc.disable()
+        try:
+            batch_run(lp, 2, weights=(1.0,) * 8, include_bus=True, window=window)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_open_window_leakage_under_profiler(monkeypatch):
+    # a profiler's c_call event holds a bound method of the leakage matrix,
+    # so growing and cutting it must not depend on its reference count
+    lp = resolve(parse(INDEXED_LOOP))
+    mem = np.random.default_rng(4).integers(0, 256, size=(1024, 5), dtype=np.uint8)
+    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True, window=(7, None))
+    for piece_bytes in (vector_machine.PIECE_BYTES, 1):
+        monkeypatch.setattr(vector_machine, "PIECE_BYTES", piece_bytes)
+        plain = batch_run(lp, 5, **kw)
+        profiled = cProfile.Profile().runcall(batch_run, lp, 5, **kw)
+        assert profiled.leakage.shape == plain.leakage.shape == (994, 5)
+        assert profiled.leakage.tobytes() == plain.leakage.tobytes()
 
 
 def test_window_ends_after_halt():
