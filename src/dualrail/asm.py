@@ -13,6 +13,9 @@ Operands:
     !#N[,off]   indirect with immediate base
 
 Branch targets are labels or ``#`` absolute instruction indices.
+
+The machine model is defined here once: a ``WORD_BITS``-bit word and 1 to
+``MAX_CELLS`` registers and memory cells, bounds that ``resolve`` enforces.
 """
 from __future__ import annotations
 
@@ -20,6 +23,14 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
+
+#: bits of a machine word, and the mask of its values
+WORD_BITS = 8
+WORD_MASK = (1 << WORD_BITS) - 1
+#: the most registers or memory cells a machine has: addresses fit 16 bits
+MAX_CELLS = 1 << 16
+#: Hamming weight of every data value and address
+HW = [i.bit_count() for i in range(MAX_CELLS)]
 
 #: operand count of each instruction kind
 _ARITY = {"nop": 0, "jump": 1, "unary": 2, "binary": 3, "branch": 3}
@@ -245,10 +256,6 @@ class LinkedProgram:
     source: Program = field(compare=False, repr=False, default=None)
     n_regs: int = 32
     mem_size: int = 1024
-    word_width: int = 8
-
-    def __len__(self):
-        return len(self.instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +389,16 @@ def print_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 # linking
 
-def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024, word_width: int = 8) -> LinkedProgram:
+def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024) -> LinkedProgram:
     """Replace label references by absolute instruction indices and validate
-    operand ranges and the declared ``;@sensitive``/``;@output`` cells
-    against the machine configuration."""
+    the machine size (1 to MAX_CELLS registers and cells), operand ranges
+    and the declared ``;@sensitive``/``;@output`` cells against it."""
+    for name, size in (("n_regs", n_regs), ("mem_size", mem_size)):
+        if not 1 <= size <= MAX_CELLS:
+            raise LinkError(f"{name} {size} is not from 1 to {MAX_CELLS}")
     table = p.label_table
     instrs = p.instructions
     n = len(instrs)
-    mask = (1 << word_width) - 1
     checked = set()  # (operand, is shift count) pairs already in range
     resolved = []
     for idx, inst in enumerate(instrs):
@@ -408,16 +417,16 @@ def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024, word_width: i
                 continue
             key = (op, pos == 2 and inst.opcode in ("lsl", "lsr"))
             if key not in checked:
-                _check_ranges(*key, f"instruction {idx} ({inst.opcode})", n_regs, mem_size, mask)
+                _check_ranges(*key, f"instruction {idx} ({inst.opcode})", n_regs, mem_size)
                 checked.add(key)
         resolved.append(inst)
     for name in LOCATION_DIRECTIVES:
         for kind, _lo, hi in p.declared_spans(name):
-            _check_ranges(Register(hi) if kind == "reg" else MemDirect(hi), False, f";@{name}", n_regs, mem_size, mask)
-    return LinkedProgram(tuple(resolved), source=p, n_regs=n_regs, mem_size=mem_size, word_width=word_width)
+            _check_ranges(Register(hi) if kind == "reg" else MemDirect(hi), False, f";@{name}", n_regs, mem_size)
+    return LinkedProgram(tuple(resolved), source=p, n_regs=n_regs, mem_size=mem_size)
 
 
-def _check_ranges(op, shift, where, n_regs, mem_size, mask):
+def _check_ranges(op, shift, where, n_regs, mem_size):
     if isinstance(op, Register):
         if not 0 <= op.index < n_regs:
             raise LinkError(f"{where}: register r{op.index} out of range")
@@ -428,10 +437,10 @@ def _check_ranges(op, shift, where, n_regs, mem_size, mask):
         # immediates are data words except when used as a shift count,
         # which is bounded by the word width instead
         if shift:
-            if not 0 <= op.value <= mask.bit_length():
+            if not 0 <= op.value <= WORD_BITS:
                 raise LinkError(f"{where}: shift count {op.value} out of range")
-        elif not 0 <= op.value <= mask:
-            raise LinkError(f"{where}: immediate {op.value} does not fit {mask.bit_length()} bits")
+        elif not 0 <= op.value <= WORD_MASK:
+            raise LinkError(f"{where}: immediate {op.value} does not fit {WORD_BITS} bits")
     elif isinstance(op, MemIndirect):
         if isinstance(op.base, Register):
             if not 0 <= op.base.index < n_regs:

@@ -34,7 +34,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .asm import ADAPTERS, ParseError, parse, print_program, resolve
+from .asm import ADAPTERS, MAX_CELLS, WORD_BITS, ParseError, parse, print_program, resolve
 from .dpl import DplConfig, TransformError, place_tables, transform
 from .equivalence import DplStateMap, check
 from .lab import (
@@ -117,10 +117,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # shared argument groups
-
-#: largest register file and memory, in cells: addresses stay 16-bit
-MAX_CELLS = 1 << 16
-
 
 def _int_in(lo: int, hi: int):
     """argparse type: an int from lo to hi - 1, else a usage error."""
@@ -227,7 +223,7 @@ def _parse_key(text: str) -> int:
 
 def _parse_weights(text):
     if text is None:
-        return (1.0,) * 8
+        return (1.0,) * WORD_BITS
     try:
         return tuple(float(t) for t in text.split(","))
     except ValueError:
@@ -410,7 +406,7 @@ _NIBBLE = _int_in(0, 16)
 def _add_target_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-key", metavar="HEX", default=None,
                     help=f"fixed key (default {DEFAULT_LAB_KEY:020x})")
-    ap.add_argument("-slot", type=_int_in(0, 8), default=0,
+    ap.add_argument("-slot", type=_int_in(0, WORD_BITS), default=0,
                     help="bit line carrying the cipher state, 0 to 7 (default 0)")
     ap.add_argument("-nibble", type=_NIBBLE, default=0,
                     help="plaintext/key nibble under attack, 0 to 15 (default 0)")

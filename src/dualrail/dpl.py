@@ -25,6 +25,8 @@ from .asm import (
     MemIndirect,
     Program,
     Register,
+    WORD_BITS,
+    WORD_MASK,
 )
 
 PROLOGUE_TAG = "prologue"
@@ -90,17 +92,17 @@ class DplConfig:
     def tables_per_region(self) -> int:
         return (1 << self.pattern_lo) if self.compact else 1
 
-    def validate(self, word_width: int = 8) -> None:
+    def validate(self) -> None:
         if self.bit_f == self.bit_t:
             raise TransformError("rails must use distinct bits")
         if self.span not in (2, 3):
             raise TransformError(f"rail span {self.span} unsupported (pair field must fit 4 bits)")
-        if min(self.bit_f, self.bit_t) < 0 or max(self.bit_f, self.bit_t) >= word_width:
+        if min(self.bit_f, self.bit_t) < 0 or max(self.bit_f, self.bit_t) >= WORD_BITS:
             raise TransformError("rail bit outside the word")
-        if self.pattern_lo + 2 * self.span > word_width:
+        if self.pattern_lo + 2 * self.span > WORD_BITS:
             raise TransformError(
                 f"packed index field [{self.pattern_lo},{self.pattern_lo + 2 * self.span})"
-                f" does not fit a {word_width}-bit index register"
+                f" does not fit a {WORD_BITS}-bit index register"
             )
         if self.pattern_lo != min(self.bit_f, self.bit_t):
             raise TransformError(
@@ -374,16 +376,16 @@ def _used_registers(p: Program) -> set[int]:
     return regs
 
 
-def _used_cells(p: Program, reach: int = 0) -> set[int]:
-    """Cells p declares or addresses; an indexed operand counts its offset
-    and the `reach` cells above it."""
+def _used_cells(p: Program) -> set[int]:
+    """Cells p declares or addresses; an indexed operand may reach every
+    cell from its offset to offset + WORD_MASK, the largest base."""
     cells = set()
     for inst in p.instructions:
         for op in inst.operands:
             if isinstance(op, MemDirect):
                 cells.add(op.address)
             elif isinstance(op, MemIndirect):
-                cells.update(range(op.offset, op.offset + reach + 1))
+                cells.update(range(op.offset, op.offset + WORD_MASK + 1))
     for name in ("sensitive", "output"):
         for kind, loc in p.declared_cells(name):
             if kind == "mem":
@@ -398,14 +400,13 @@ def _ops_used(p: Program, actions: dict) -> set[str]:
 
 def place_tables(p: Program, cfg: DplConfig, mem_size: int) -> DplConfig:
     """cfg with lut_base at the lowest aligned base whose tables for p fit
-    below mem_size and touch no cell p declares or may address: an indexed
-    operand may reach every cell from its offset to offset + 255, the
-    largest 8-bit word.  cfg itself when p needs no tables."""
+    below mem_size and touch no cell p declares or may address
+    (``_used_cells``).  cfg itself when p needs no tables."""
     stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p, classify(p)[0]))[1]
     offsets = [s.operands[0].address for s in stores]
     if not offsets:
         return cfg
-    taken = _used_cells(p, reach=255)
+    taken = _used_cells(p)
     for base in range(mem_size - max(offsets)):
         if not base & cfg.field_mask and taken.isdisjoint([base + o for o in offsets]):
             return replace(cfg, lut_base=base)
@@ -430,7 +431,7 @@ def transform(p: Program, cfg: DplConfig, strict: bool = False) -> tuple[Program
     lut_bytes = len(stores)
     if lut_bytes:
         reserved_cells = {s.operands[0].address for s in stores}
-        overlap = _used_cells(p, reach=255) & reserved_cells
+        overlap = _used_cells(p) & reserved_cells
         if overlap:
             raise TransformError(
                 f"tables [{min(reserved_cells)},{max(reserved_cells)}] "

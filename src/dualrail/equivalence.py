@@ -1,10 +1,12 @@
 """Concrete input/output equivalence between a program and its dual-rail
 transform.
 
-Sensitive inputs are enumerated exhaustively when few enough, otherwise
-sampled; both programs run on matching (plain vs rail-encoded) initial
-states and the decoded transformed outputs must equal the original ones.
-A transformed output that is not a valid rail encoding is reported as
+Sensitive inputs are enumerated exhaustively when there are at most
+EXHAUSTIVE_THRESHOLD of them, otherwise sampled with one seeded draw of
+all their bits (the sampler cross_validate shares).  Both programs run
+on matching (plain vs rail-encoded) initial states, in the same cells,
+and the decoded transformed outputs must equal the original ones.  A
+transformed output that is not a valid rail encoding is reported as
 poison, distinct from a plain mismatch.
 """
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -25,16 +26,10 @@ EXHAUSTIVE_THRESHOLD = 16
 
 @dataclass(frozen=True)
 class DplStateMap:
-    """How logical state maps onto the transformed program's state: the rail
-    encoding plus an optional relocation of cells (identity by default)."""
+    """How logical state maps onto the transformed program's state: each
+    cell keeps its place and holds its bit in the rail encoding of cfg."""
 
     cfg: DplConfig
-    cell_map: dict[int, int] | None = None
-
-    def physical(self, cell: int) -> int:
-        if self.cell_map is None:
-            return cell
-        return self.cell_map.get(cell, cell)
 
 
 @dataclass
@@ -57,11 +52,22 @@ def _bits_hex(bits) -> str:
     return hex(sum(int(b) << i for i, b in enumerate(bits)))
 
 
-def _assignments(k: int, n_samples: int, seed: int, exhaustive_threshold: int):
-    if k <= exhaustive_threshold:
-        return [tuple(bits) for bits in product((0, 1), repeat=k)]
-    rng = random.Random(seed)
-    return [tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(n_samples)]
+def _random_bits(k: int, n: int, seed: int) -> np.ndarray:
+    """A seeded (k, n) uint8 matrix of random bits: one draw of k * n bits,
+    unpacked least significant first.  Not numpy.random: loading it costs
+    about 6 MB, and its generators reject negative seeds."""
+    raw = random.Random(seed).getrandbits(k * n).to_bytes((k * n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=k * n, bitorder="little").reshape(k, n)
+
+
+def _assignments(k: int, n_samples: int, seed: int) -> np.ndarray:
+    """(k, runs) bit matrix of the inputs to check: every assignment in
+    itertools.product order (first cell most significant) when k is at most
+    EXHAUSTIVE_THRESHOLD, else n_samples random ones."""
+    if k <= EXHAUSTIVE_THRESHOLD:
+        shifts = np.arange(k - 1, -1, -1)[:, None]
+        return (np.arange(1 << k) >> shifts & 1).astype(np.uint8)
+    return _random_bits(k, n_samples, seed)
 
 
 def _init_arrays(program: LinkedProgram, cells, columns: np.ndarray, cfg: DplConfig | None = None):
@@ -82,7 +88,6 @@ def check(
     state_map: DplStateMap,
     n_samples: int = 100,
     seed: int = 0,
-    exhaustive_threshold: int = EXHAUSTIVE_THRESHOLD,
 ) -> EquivalenceVerdict:
     """Compare ;@output cells of both programs over sensitive-input
     assignments; transformed outputs are rail-decoded first."""
@@ -98,15 +103,14 @@ def check(
         raise ValueError("no ;@output cells declared")
 
     cfg = state_map.cfg
-    assigns = _assignments(len(sens), n_samples, seed, exhaustive_threshold)
-    cols = np.array(assigns, dtype=np.uint8).T.reshape(len(sens), len(assigns))
+    cols = _assignments(len(sens), n_samples, seed)
+    runs = cols.shape[1]
 
     mem_o, regs_o = _init_arrays(original, sens, cols)
-    sens_phys = tuple((kind, state_map.physical(loc) if kind == "mem" else loc) for kind, loc in sens)
-    mem_t, regs_t = _init_arrays(transformed, sens_phys, cols, cfg)
+    mem_t, regs_t = _init_arrays(transformed, sens, cols, cfg)
 
-    res_o = batch_run(original, len(assigns), init_memory=mem_o, init_registers=regs_o)
-    res_t = batch_run(transformed, len(assigns), init_memory=mem_t, init_registers=regs_t)
+    res_o = batch_run(original, runs, init_memory=mem_o, init_registers=regs_o)
+    res_t = batch_run(transformed, runs, init_memory=mem_t, init_registers=regs_t)
 
     def read(res, cells):
         rows = []
@@ -118,8 +122,7 @@ def check(
     # logical result (`not` complements the whole word, upper bits are
     # unspecified in the bitsliced model)
     expected = read(res_o, outs) & 1
-    outs_phys = tuple((kind, state_map.physical(loc) if kind == "mem" else loc) for kind, loc in outs)
-    raw = read(res_t, outs_phys)
+    raw = read(res_t, outs)
     enc0, enc1 = cfg.encode(0), cfg.encode(1)
     poison = (raw != enc0) & (raw != enc1)
     actual = (raw == enc1).astype(np.uint8)
@@ -136,4 +139,4 @@ def check(
                 "poison_cells": [int(outs[i][1]) for i in cell_poison],
             }
         )
-    return EquivalenceVerdict(checked=len(assigns), failures=failures)
+    return EquivalenceVerdict(checked=runs, failures=failures)

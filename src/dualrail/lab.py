@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asm import LinkedProgram
+from .asm import WORD_BITS, LinkedProgram
 from .present import (
     SBOX,
     LABEL_SBOX,
@@ -68,15 +68,15 @@ class LeakModel:
     on): the buses add the Hamming weight of every address and value a
     memory access moves."""
 
-    weights: tuple = (1.0,) * 8
+    weights: tuple = (1.0,) * WORD_BITS
     noise_sigma: float = 0.0
     include_bus: bool = True
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise LabError("noise_sigma must be >= 0")
-        if len(self.weights) == 0:
-            raise LabError("need at least one bit-line weight")
+        if len(self.weights) != WORD_BITS:
+            raise LabError(f"need {WORD_BITS} bit-line weights, got {len(self.weights)}")
 
 
 @dataclass
@@ -86,7 +86,7 @@ class TraceSet:
     fixed_key: int | None
     seed: object
     cycle_offset: int = 0  # absolute cycle of the first trace column
-    word_width: int = 8
+    word_width: int = WORD_BITS
 
     def __post_init__(self):
         self.traces = np.asarray(self.traces, dtype=np.float32)
@@ -198,7 +198,7 @@ def _synth(
         if model.noise_sigma > 0:
             t += rng.normal(0.0, model.noise_sigma, size=t.shape).astype(np.float32)
         out.append(TraceSet(traces=t, plaintexts=p, fixed_key=int(key), seed=seed,
-                            cycle_offset=offset, word_width=program.word_width))
+                            cycle_offset=offset))
     return out
 
 

@@ -1,9 +1,10 @@
 """Concrete reference interpreter with a Hamming-model leakage event log.
 
-Opcode semantics come from ``asm.OPS``, the same table the batch engine and
-the verifier run.  This one-run-at-a-time machine is the oracle the others
-are tested against, and it alone records named events (the ``-s`` event
-log) and steps a single run (``present.loop_iteration_window``).
+Opcode semantics, the word and the Hamming weights come from ``asm``, as
+for the batch engine and the verifier.  This one-run-at-a-time machine is
+the oracle the others are tested against, and it alone records named
+events (the ``-s`` event log) and steps a single run
+(``present.loop_iteration_window``).
 
 Every destination write emits a reg_update/mem_update event carrying the
 Hamming distance of the update and the Hamming weight of the new value;
@@ -17,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asm import OPS, Immediate, LinkedProgram, MemDirect, Register
-
-# popcount table covering data words and the address space
-_POP = [bin(i).count("1") for i in range(1 << 16)]
+from .asm import HW, OPS, WORD_BITS, WORD_MASK, Immediate, LinkedProgram, MemDirect, Register
 
 REG_UPDATE = "reg_update"
 MEM_UPDATE = "mem_update"
@@ -88,8 +86,8 @@ def _load(state: MachineState, op, events: list[LeakageEvent], mem_size: int):
     if not 0 <= addr < mem_size:
         raise MachineError(f"load address {addr} out of range at cycle {state.cycle}")
     value = state.memory[addr]
-    events.append(LeakageEvent(state.cycle, ADDR_BUS, "abus", _POP[addr], _POP[addr], addr))
-    events.append(LeakageEvent(state.cycle, DATA_BUS, "dbus", _POP[value], _POP[value], value))
+    events.append(LeakageEvent(state.cycle, ADDR_BUS, "abus", HW[addr], HW[addr], addr))
+    events.append(LeakageEvent(state.cycle, DATA_BUS, "dbus", HW[value], HW[value], value))
     return value
 
 
@@ -99,7 +97,7 @@ def _store(state: MachineState, op, value: int, events: list[LeakageEvent], mem_
         state.registers[op.index] = value
         flips = old ^ value
         events.append(
-            LeakageEvent(state.cycle, REG_UPDATE, f"r{op.index}", _POP[flips], _POP[value], flips)
+            LeakageEvent(state.cycle, REG_UPDATE, f"r{op.index}", HW[flips], HW[value], flips)
         )
         return
     if isinstance(op, MemDirect):
@@ -112,9 +110,9 @@ def _store(state: MachineState, op, value: int, events: list[LeakageEvent], mem_
     old = state.memory[addr]
     state.memory[addr] = value
     flips = old ^ value
-    events.append(LeakageEvent(state.cycle, ADDR_BUS, "abus", _POP[addr], _POP[addr], addr))
-    events.append(LeakageEvent(state.cycle, DATA_BUS, "dbus", _POP[value], _POP[value], value))
-    events.append(LeakageEvent(state.cycle, MEM_UPDATE, f"@{addr}", _POP[flips], _POP[value], flips))
+    events.append(LeakageEvent(state.cycle, ADDR_BUS, "abus", HW[addr], HW[addr], addr))
+    events.append(LeakageEvent(state.cycle, DATA_BUS, "dbus", HW[value], HW[value], value))
+    events.append(LeakageEvent(state.cycle, MEM_UPDATE, f"@{addr}", HW[flips], HW[value], flips))
 
 
 def step(state: MachineState, program: LinkedProgram) -> list[LeakageEvent]:
@@ -122,7 +120,6 @@ def step(state: MachineState, program: LinkedProgram) -> list[LeakageEvent]:
     if state.pc >= len(program.instructions):
         raise MachineError("machine is halted")
     inst = program.instructions[state.pc]
-    mask = (1 << program.word_width) - 1
     mem_size = program.mem_size
     events: list[LeakageEvent] = []
     spec = OPS[inst.opcode]
@@ -131,17 +128,17 @@ def step(state: MachineState, program: LinkedProgram) -> list[LeakageEvent]:
 
     if kind == "unary":
         dest, src = inst.operands
-        v = spec.fn(_load(state, src, events, mem_size), mask)
+        v = spec.fn(_load(state, src, events, mem_size), WORD_MASK)
         _store(state, dest, v, events, mem_size)
     elif kind == "binary":
         dest, sa, sb = inst.operands
         a = _load(state, sa, events, mem_size)
         b = _load(state, sb, events, mem_size)
-        _store(state, dest, spec.fn(a, b, mask), events, mem_size)
+        _store(state, dest, spec.fn(a, b, WORD_MASK), events, mem_size)
     elif kind == "branch":
         a = _load(state, inst.operands[0], events, mem_size)
         b = _load(state, inst.operands[1], events, mem_size)
-        if spec.fn(a, b, mask):
+        if spec.fn(a, b, WORD_MASK):
             next_pc = inst.operands[2].index
     elif kind == "jump":
         next_pc = inst.operands[0].index
@@ -173,21 +170,18 @@ def run(
 
 
 def weight_tables(weights, n_addr: int = 0):
-    """Per-value weights from per-bit ones, as float64 arrays: one for every
-    data value (a value beyond the word weighs its low bits, so all 256
-    bytes have one) and one for every address below n_addr, whose bits
-    beyond the word weigh 1.0 each.  A value's bit weights add in bit order
-    from 0.0, and an address adds its high-bit count last."""
-    width = len(weights)
-    vals = np.arange(max(1 << max(width, 8), n_addr))
+    """Per-value weights from the WORD_BITS per-bit ones, as float64 arrays:
+    one for every word value and one for every address below n_addr, whose
+    bits above the word weigh 1.0 each.  A value's bit weights add in bit
+    order from 0.0, and an address adds its high-bit count last."""
+    if np.shape(weights) != (WORD_BITS,):
+        raise ValueError(f"need {WORD_BITS} per-bit weights")
+    vals = np.arange(max(WORD_MASK + 1, n_addr))
     tab = np.zeros(len(vals))
     for i, w in enumerate(weights):
         tab += (vals >> i & 1) * float(w)
-    hi, high_bits = vals[:n_addr] >> width, np.zeros(n_addr, dtype=np.intp)
-    while hi.any():
-        high_bits += hi & 1
-        hi >>= 1
-    return tab[: 1 << max(width, 8)], tab[:n_addr] + high_bits
+    high_bits = np.array(HW[: WORD_MASK + 1])[vals[:n_addr] >> WORD_BITS]
+    return tab[: WORD_MASK + 1], tab[:n_addr] + high_bits
 
 
 def cycle_leakage(

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asm import LOGICAL_OPS, LinkedProgram, Program, parse, print_program
+from .asm import LOGICAL_OPS, WORD_BITS, LinkedProgram, Program, parse, print_program
 from .machine import MachineState, step
 
 MASK64 = (1 << 64) - 1
@@ -131,8 +131,8 @@ def _gate_lines(one: int) -> list[str]:
 def present_program(slot: int = 0) -> str:
     """Assembly source for one full PRESENT-80 encryption, bitsliced at bit
     position `slot` (cells carry ``bit << slot``)."""
-    if not 0 <= slot < 8:
-        raise ValueError("slot must be a bit position within the 8-bit word")
+    if not 0 <= slot < WORD_BITS:
+        raise ValueError(f"slot must be a bit position within the {WORD_BITS}-bit word")
     one = 1 << slot
     L: list[str] = [
         f";@sensitive @{P_IN}-{P_IN + 63}",
@@ -245,7 +245,7 @@ class CorpusEntry:
         return parse(self.source)
 
 
-def build_corpus(slots=range(8)) -> list[CorpusEntry]:
+def build_corpus(slots=range(WORD_BITS)) -> list[CorpusEntry]:
     """One entry per bit-position variant; entry 0 is the canonical corpus."""
     entries = []
     for slot in slots:

@@ -55,7 +55,7 @@ from itertools import chain
 
 import numpy as np
 
-from .asm import OPS, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
+from .asm import OPS, WORD_MASK, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
 from .machine import MachineError, StepLimitExceeded, weight_tables
 
 #: bytes of one recording block: per slot and lane a data byte, a flat
@@ -218,7 +218,6 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     OPS functions are stored as they come: on uint8 rows and small
     immediates they stay uint8, and on lane-uniform ints they are ints."""
     instructions, mem_size, lanes = program.instructions, program.mem_size, regs.shape[1]
-    mask = (1 << program.word_width) - 1
     flat, rows = mem.reshape(-1), list(regs)
     scratch = np.empty(lanes, dtype=np.intp)
     # the lane-uniform shadow of regs: per register the int every lane
@@ -235,8 +234,8 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     # are cut from one uninitialised table, so that only the rows used are
     # ever written: at 10^4 lanes, rows made one by one mid-run raised the
     # peak RSS of a DPL campaign by 1.7 MB, and a zeroed table by 6 MB
-    const_rows = [None] * (mask + 1)
-    table = np.empty((mask + 1, lanes), dtype=np.uint8)
+    const_rows = [None] * (WORD_MASK + 1)
+    table = np.empty((WORD_MASK + 1, lanes), dtype=np.uint8)
 
     def as_row(v):
         row = const_rows[v]
@@ -245,7 +244,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             row.fill(v)
         return row
 
-    mask_row = as_row(mask)
+    mask_row = as_row(WORD_MASK)
 
     def cell_index(op):
         """Fills a flat index row (address * lanes + lane) for an indexed
@@ -435,7 +434,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         if kind == "branch":
 
             def f_br(pc, k, la=a, lb=b, fn=fn, t=ops[2].index, nxt=nxt):
-                cond = fn(la(k), lb(k), mask)
+                cond = fn(la(k), lb(k), WORD_MASK)
                 if isinstance(cond, np.ndarray):
                     # a bool row is one byte per lane: count the lanes taken
                     cond = cond.tobytes().count(1)
@@ -448,7 +447,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         if kind == "unary":
 
             def f_unary(pc, k, ld=a, st=st, fn=fn, nxt=nxt):
-                st(fn(ld(k), mask), k)
+                st(fn(ld(k), WORD_MASK), k)
                 return nxt
 
             return f_unary
@@ -457,7 +456,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             x, y = la(k), lb(k)
             if type(x) is int:
                 if type(y) is int:
-                    st(fn(x, y, mask), k)
+                    st(fn(x, y, WORD_MASK), k)
                     return nxt
                 x = as_row(x)
             elif type(y) is int:
@@ -515,9 +514,9 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                     k += 2
             x, y = y, v
         if kind == "unary":
-            v = fn(y, mask)
+            v = fn(y, WORD_MASK)
         elif type(x) is int and type(y) is int:
-            v = fn(x, y, mask)
+            v = fn(x, y, WORD_MASK)
         else:
             v = fn(as_row(x) if type(x) is int else x, as_row(y) if type(y) is int else y, mask_row)
         cls = type(dest)
@@ -594,8 +593,6 @@ def batch_run(
     a run before either, MachineError for an address beyond memory, and
     ValueError for fewer than one run or a reversed window.
     """
-    if program.word_width > 8:
-        raise ValueError("batch engine supports word widths up to 8")
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
     dtype = np.uint8
@@ -619,8 +616,6 @@ def batch_run(
     n = len(program.instructions)
     block = leak = None
     if weights is not None:
-        if np.shape(weights) != (program.word_width,):
-            raise ValueError(f"need {program.word_width} per-bit weights")
         # float32 weights of every byte, and of every address with the bus
         wtab, atab = weight_tables(weights, program.mem_size if include_bus else 0)
         block = _Block(n_runs, wtab.astype(np.float32), atab.astype(np.float32) if include_bus else None)

@@ -8,26 +8,25 @@ leakage activity under the Hamming model.  No tag exempts an instruction:
 every executed instruction is checked.
 
 Opcode semantics come from ``asm.OPS``, applied to every combination of
-operand values.  A step depends only on its pc and the sets it reads, so
-``verify`` memoises it exactly on those: a loop body revisited with the
-same sets replays its cached result and adds no finding it has not already
-merged.  cross_validate confirms a verdict dynamically, with all its
-input pairs as the lanes of one vector_machine.batch_run.
+operand values; two reads of one operand give one value.  A step depends
+only on its pc and the sets it reads, so ``verify`` memoises it exactly
+on those: a loop body revisited with the same sets replays its cached
+result and adds no finding it has not already merged.  cross_validate
+confirms a verdict dynamically, with all its input pairs as the lanes of
+one vector_machine.batch_run.
 """
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
 import numpy as np
 
-from .asm import OPS, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
+from .asm import HW, OPS, WORD_BITS, WORD_MASK, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
 from .dpl import DplConfig
-from .equivalence import _init_arrays
-from .machine import _POP
+from .equivalence import _init_arrays, _random_bits
 from .vector_machine import batch_run
 
 BALANCED = "balanced"
@@ -128,7 +127,7 @@ def _hd_witness(pairs):
     """Two (old,new) pairs with distinct Hamming distances, if any."""
     seen = {}
     for o, n in pairs:
-        h = _POP[o ^ n]
+        h = HW[o ^ n]
         if h not in seen:
             seen[h] = (o, n)
             if len(seen) == 2:
@@ -140,7 +139,7 @@ def _hd_witness(pairs):
 def _hw_witness(new: frozenset):
     seen = {}
     for n in new:
-        h = _POP[n]
+        h = HW[n]
         if h not in seen:
             seen[h] = (None, n)
             if len(seen) == 2:
@@ -153,7 +152,6 @@ class Verifier:
     def __init__(self, program: LinkedProgram, cap: int = 16):
         self.program = program
         self.cap = cap
-        self.mask = (1 << program.word_width) - 1
 
     # -- operand access -----------------------------------------------------
 
@@ -183,11 +181,11 @@ class Verifier:
         if len(vals) > self.cap:
             raise _CapExceeded
         vals = frozenset(vals)
-        hw_addr = frozenset(_POP[a] for a in addrs)
+        hw_addr = frozenset(HW[a] for a in addrs)
         if len(hw_addr) > 1:
             w = _hw_witness(addrs)
             findings.append(LeakFinding(idx, "addr_bus", "abus", hw_addr, hw_addr, w))
-        hw_data = frozenset(_POP[v] for v in vals)
+        hw_data = frozenset(HW[v] for v in vals)
         if len(hw_data) > 1:
             w = _hw_witness(vals)
             findings.append(LeakFinding(idx, "data_bus", "dbus", hw_data, hw_data, w))
@@ -215,7 +213,7 @@ class Verifier:
         """Write `vals` to a destination.  `pairs` carries the correlated
         (old, new) possibilities when the destination aliases a source
         operand; otherwise old and new are treated as independent."""
-        hw_set = frozenset([_POP[v] for v in vals])
+        hw_set = frozenset([HW[v] for v in vals])
         if isinstance(op, Register):
             cells, i = state.registers, op.index
             loc, kind = op, "reg_update"
@@ -231,9 +229,9 @@ class Verifier:
         old = cells[i]
         cells[i] = vals
         if pairs is None:
-            hd_set = frozenset([_POP[o ^ n] for o in old for n in vals])
+            hd_set = frozenset([HW[o ^ n] for o in old for n in vals])
         else:
-            hd_set = frozenset([_POP[o ^ n] for o, n in pairs])
+            hd_set = frozenset([HW[o ^ n] for o, n in pairs])
         if len(hd_set) > 1 or len(hw_set) > 1:
             witness = _hd_witness(pairs or product(old, vals)) or _hw_witness(vals)
             findings.append(LeakFinding(idx, kind, str(loc), hd_set, hw_set, witness))
@@ -263,13 +261,12 @@ class Verifier:
                     )
             else:
                 (va,), (vb,) = a, b
-                if spec.fn(va, vb, self.mask):
+                if spec.fn(va, vb, WORD_MASK):
                     next_pc = target
         elif spec.kind == "unary":
             dest, src = inst.operands
             vals = self._load(state, src, findings, idx)
-            fn, mask = spec.fn, self.mask
-            image = [fn(v, mask) for v in vals]
+            image = [spec.fn(v, WORD_MASK) for v in vals]
             # an update of its own source pairs each old value with its image;
             # operands of two kinds never alias, and their dataclass __eq__
             # would run twice to say so
@@ -284,11 +281,14 @@ class Verifier:
             cls = type(dest)
             alias_a = type(sa) is cls and dest == sa
             alias_b = type(sb) is cls and dest == sb
+            # two reads of one location give one value in a run: pair each
+            # value with itself, not with every value of the other read
+            same = type(sa) is type(sb) and sa == sb
             image = set()
             pairs = set()
             for x in a:
-                for y in b:
-                    v = f(x, y, self.mask)
+                for y in (x,) if same else b:
+                    v = f(x, y, WORD_MASK)
                     image.add(v)
                     if alias_a:
                         pairs.add((x, v))
@@ -454,17 +454,14 @@ def cross_validate(
     if program.source is None or n_pairs <= 0:
         return CrossValidation(True, 0)
     cells = program.source.declared_cells("sensitive")
-    rng = random.Random(seed)
     lanes = 2 * n_pairs
-    bits = [[rng.randint(0, 1) for _ in cells] for _ in range(lanes)]
-    cols = np.array(bits, dtype=np.uint8).T.reshape(len(cells), lanes)
-    mem, regs = _init_arrays(program, cells, cols, cfg)
+    mem, regs = _init_arrays(program, cells, _random_bits(len(cells), lanes, seed), cfg)
     res = batch_run(
         program,
         lanes,
         init_memory=mem,
         init_registers=regs,
-        weights=[1.0] * program.word_width,
+        weights=[1.0] * WORD_BITS,
         include_bus=True,
         max_steps=2_000_000,
     )

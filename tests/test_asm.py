@@ -10,6 +10,7 @@ from dualrail.asm import (
     Immediate,
     Instruction,
     LinkError,
+    MAX_CELLS,
     OPS,
     MemDirect,
     MemIndirect,
@@ -153,6 +154,14 @@ def test_resolve_rejects_out_of_range():
         resolve(parse("mov @2000 #0\n"), mem_size=1024)
     with pytest.raises(LinkError):
         resolve(parse("jmp #99\n"))
+
+
+@pytest.mark.parametrize("size", [dict(n_regs=0), dict(mem_size=0), dict(n_regs=MAX_CELLS + 1),
+                                  dict(mem_size=MAX_CELLS + 1), dict(mem_size=70000)])
+def test_resolve_rejects_machine_size_out_of_range(size):
+    # addresses fit 16 bits: a cell at 66000 cannot be linked at all
+    with pytest.raises(LinkError, match=f"is not from 1 to {MAX_CELLS}"):
+        resolve(parse("mov @66000 #1\n"), **size)
 
 
 @pytest.mark.parametrize(

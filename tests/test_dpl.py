@@ -307,6 +307,17 @@ def test_transform_warns_on_tainted_arithmetic():
         transform(parse(src), CANON, strict=True)
 
 
+@pytest.mark.parametrize("store, warnings", [
+    ("mov !r1,200 r4", ["instruction 1: add reads sensitive data"]),
+    ("mov @300 r4", []),
+])
+def test_indexed_store_taints_every_cell(store, warnings):
+    # an indexed store of a sensitive value may land in any cell, so every
+    # later memory read is tainted; a direct store taints its own cell only
+    _, rep = transform(parse(f";@sensitive r4\n{store}\nadd r2 @50 #1\n"), CANON)
+    assert rep.warnings == warnings
+
+
 def test_transform_rejects_reserved_register_use():
     with pytest.raises(TransformError):
         transform(parse("mov r20 #0\nand r6 r4 r5\n"), CANON)

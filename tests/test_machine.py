@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dualrail.asm import LinkError, parse, resolve
+from dualrail.asm import MAX_CELLS, LinkError, parse, resolve
 from dualrail.machine import (
     DATA_BUS,
     MEM_UPDATE,
@@ -89,6 +89,19 @@ def test_out_of_range_indirect_access():
         _run_src("mov r3 !r1,1000\n", init=_init(regs=((1, 100),)))
 
 
+def test_largest_machine_accesses_its_last_cell():
+    # every address a linked program can reach has a Hamming weight: the
+    # last cell of the largest memory runs, and an indexed address past it
+    # is a MachineError
+    lp = resolve(parse("mov @65535 #1\nmov r1 #255\nmov r2 !r1,65280\n"), mem_size=MAX_CELLS)
+    res = run(lp)
+    assert res.final_state.memory[65535] == res.final_state.registers[2] == 1
+    assert [e.hw for e in res.events if e.kind == "addr_bus"] == [16, 16]
+    lp = resolve(parse("mov r1 #255\nmov r2 !r1,65535\n"), n_regs=MAX_CELLS, mem_size=MAX_CELLS)
+    with pytest.raises(MachineError, match="load address 65790 out of range"):
+        run(lp)
+
+
 # -- events -----------------------------------------------------------------
 
 
@@ -166,6 +179,9 @@ def test_cycle_leakage_weighted():
 def test_cycle_leakage_assigns_per_bit_weights():
     res = _run_src("mov r1 #1\n")  # flips bit 0 only
     assert cycle_leakage(res.events, [3.0] + [1.0] * 7) == [3.0]
+    for weights in ([3.0], [1.0] * 9):  # one weight per bit line of the word
+        with pytest.raises(ValueError, match="need 8 per-bit weights"):
+            cycle_leakage(res.events, weights)
 
 
 #: sha256 of cycle_leakage(...) as float64 bytes on one unprotected corpus

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dualrail.asm import OPS, parse, resolve
+from dualrail.asm import OPS, WORD_BITS, parse, resolve
 from dualrail.machine import MachineState, cycle_leakage, run
 from dualrail.vector_machine import batch_run
 from dualrail.verifier import Verifier, symbolic_init, verify
@@ -82,7 +82,7 @@ def test_scalar_and_batch_engines_agree(prog, seed, uniform_index, uniform_regs)
     for i in ({1} | uniform_regs) if uniform_index else uniform_regs:
         regs[i] = regs[i, 0]
     mem = rng.integers(0, 256, size=(lp.mem_size, LANES), dtype=np.uint8)
-    weights = tuple(rng.uniform(0.5, 2.0, size=lp.word_width))
+    weights = tuple(rng.uniform(0.5, 2.0, size=WORD_BITS))
     res = batch_run(lp, LANES, init_memory=mem, init_registers=regs, weights=weights, include_bus=True)
     for j in range(LANES):
         init = MachineState([int(v) for v in regs[:, j]], [int(v) for v in mem[:, j]])

@@ -141,6 +141,14 @@ def test_loop_iteration_window(linked_unprotected):
         loop_iteration_window(linked_unprotected, "nonesuch")
 
 
+def test_loop_iteration_window_needs_the_next_arrival():
+    # the loop head is reached twice: one full iteration, not two
+    lp = resolve(parse("mov r1 #0\ntop: add r1 r1 #1\nbne r1 #2 top\n"))
+    assert loop_iteration_window(lp, "top") == (1, 3)
+    with pytest.raises(ValueError, match=r"reached 2 time\(s\); need 3 arrivals"):
+        loop_iteration_window(lp, "top", occurrence=1)
+
+
 def test_written_corpus_round_trips(tmp_path):
     paths = write_corpus_files(tmp_path)
     prog = parse(paths["asm"].read_text())

@@ -402,6 +402,42 @@ def test_loop_compiles_each_pc_once(weights, bus):
     assert counts == Counter(range(1, 6))
 
 
+@pytest.mark.parametrize("access", ["mov r2 !r1,1000", "mov !r1,1000 r2"])
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
+def test_compiled_indexed_access_beyond_memory(access, weights, bus):
+    # r1 steps by 20, so the third pass, the first through the compiled
+    # closure, reaches @1040 and beyond
+    lp = resolve(parse(f"top: {access}\nadd r1 r1 #20\nadd r3 r3 #1\nbne r3 #5 top\n"))
+    with pytest.raises(MachineError):
+        run(lp)
+    regs = np.zeros((32, 2), dtype=np.uint8)
+    for r1 in ([0, 0], [0, 1]):  # a lane-uniform base, then a varying one
+        regs[1] = r1
+
+        def call():
+            with pytest.raises(MachineError, match=r"indexed address beyond memory \(r1 \+ 1000\)"):
+                batch_run(lp, 2, init_registers=regs, weights=weights, include_bus=bus)
+
+        assert _compiles(call)[0] == 1
+
+
+@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
+def test_nop_in_a_loop_matches_scalar(weights, bus):
+    lp = resolve(parse("mov r2 @100\ntop: nop\nxor @101 @101 r2\nnop\nadd r1 r1 #1\nbne r1 #3 top\n"))
+    mem = np.zeros((1024, 2), dtype=np.uint8)
+    mem[100] = [5, 6]
+    res = []
+    assert _compiles(lambda: res.append(batch_run(lp, 2, init_memory=mem, weights=weights, include_bus=bus))) \
+        == Counter(range(1, 6))
+    for j in range(2):
+        scalar = run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
+        assert res[0].cycles == scalar.instruction_count == 16
+        assert list(res[0].memory[:, j]) == scalar.final_state.memory
+        if weights is not None:
+            lk = cycle_leakage(scalar.events, weights, include_bus=bus, n_cycles=res[0].cycles)
+            assert res[0].leakage[:, j].tobytes() == np.asarray(lk, dtype=np.float32).tobytes()
+
+
 def test_run_leaves_no_reference_cycle():
     # a compiler's steps refer to the compiler: batch_run breaks that cycle,
     # so the block and rows go when it returns, not when the collector runs

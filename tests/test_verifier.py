@@ -3,12 +3,15 @@ and concrete cross-validation."""
 
 import hashlib
 import json
+from collections import Counter, defaultdict
+from itertools import product
 from unittest import mock
 
 import pytest
 
 from dualrail.asm import parse, resolve
 from dualrail.dpl import DplConfig, transform
+from dualrail.machine import MachineState, run
 from dualrail.verifier import (
     SensitiveBranchError,
     Verifier,
@@ -105,11 +108,11 @@ def test_branch_on_public_counter_ok():
 
 
 def test_cap_exceeded_is_inconclusive():
-    # repeated adds on a symbolic value blow past the set cap
-    src = ";@sensitive r4\n" + "add r4 r4 r4\n" * 8
+    # two symbolic values added into each other in turn blow past the set cap
+    src = ";@sensitive r4\n;@sensitive r5\n" + "add r4 r4 r5\nadd r5 r5 r4\n" * 4
     rep = _verify_src(src, cap=16)
     assert rep.verdict == "inconclusive"
-    assert "cap" in rep.reason
+    assert rep.reason == "value-set cap 16 exceeded at instruction 5"
 
 
 def test_step_limit_is_inconclusive():
@@ -193,8 +196,6 @@ def test_cross_validate_no_sensitive_cells():
 def test_concrete_hd_member_of_symbolic_sets():
     """Every concrete event's hd/hw must fall inside the reported set for
     that instruction (soundness spot check on a leaky program)."""
-    from dualrail.machine import MachineState, run
-
     src = ";@sensitive r4\norr r4 r4 #1\n"
     lp = resolve(parse(src))
     rep = verify(lp)
@@ -206,6 +207,40 @@ def test_concrete_hd_member_of_symbolic_sets():
         ev = [e for e in res.events if e.location == "r4"][0]
         assert ev.hd in finding.hd_set
         assert ev.hw in finding.hw_set
+
+
+@pytest.mark.parametrize("src, leaks", [
+    # xor of a value with itself is 0 in every run
+    (";@sensitive r5\nxor r6 r5 r5\n", set()),
+    # the loads move the input on the data bus; the stored 0 does not leak
+    (";@sensitive @100\nxor @101 @100 @100\n", {(0, "data_bus", "dbus")}),
+    # r5 clears itself: from 0 or 1 to 0
+    (";@sensitive r5\nxor r5 r5 r5\n", {(0, "reg_update", "r5")}),
+    # the destination is the second source: every run flips the bits of 3
+    (";@sensitive r5\nmov r4 #3\nxor r5 r4 r5\n", {(1, "reg_update", "r5")}),
+])
+def test_findings_equal_concrete_enumeration(src, leaks):
+    """Straight-line programs whose two sources, or a source and the
+    destination, are one location: the findings are exactly the events
+    whose (hd, hw) varies over every input, with the values seen."""
+    lp = resolve(parse(src))
+    cells = lp.source.declared_cells("sensitive")
+    observed = defaultdict(set)  # (cycle, kind, location, n-th such event) -> {(hd, hw)}
+    for bits in product((0, 1), repeat=len(cells)):
+        init = MachineState.fresh(lp.n_regs, lp.mem_size)
+        for (kind, loc), bit in zip(cells, bits):
+            (init.registers if kind == "reg" else init.memory)[loc] = bit
+        seen = Counter()
+        for e in run(lp, init).events:
+            key = (e.cycle, e.kind, e.location)
+            observed[(*key, seen[key])].add((e.hd, e.hw))
+            seen[key] += 1
+    assert {key[:3] for key, obs in observed.items() if len(obs) > 1} == leaks
+    rep = verify(lp)
+    assert {(f.index, f.kind, f.location) for f in rep.findings} == leaks
+    for f in rep.findings:
+        obs = set().union(*(obs for key, obs in observed.items() if key[:3] == (f.index, f.kind, f.location)))
+        assert (f.hd_set, f.hw_set) == ({hd for hd, _ in obs}, {hw for _, hw in obs})
 
 
 # -- memoised steps ---------------------------------------------------------
