@@ -413,15 +413,13 @@ def place_tables(p: Program, cfg: DplConfig, mem_size: int) -> DplConfig:
     raise TransformError(f"no aligned region below {mem_size} holds the tables clear of program cells")
 
 
-def transform(p: Program, cfg: DplConfig, strict: bool = False) -> tuple[Program, TransformReport]:
+def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
     """Full program rewrite: prologue (zero register, table stores) followed
     by each source instruction kept, not-rewritten, or macro-expanded in
     order.  Labels and directives stay anchored to the first emitted line of
     their instruction's expansion."""
     cfg.validate()
     actions, warnings = classify(p)
-    if strict and warnings:
-        raise TransformError("; ".join(warnings))
 
     clash = _used_registers(p) & cfg.reserved
     if clash:

@@ -63,14 +63,12 @@ class LabError(ValueError):
 class LeakModel:
     """Device model: weight of each bit line plus Gaussian noise.
 
-    Uniform weights with zero noise reproduce the simulator's exact
-    summed Hamming distances only with `include_bus` off (the default is
-    on): the buses add the Hamming weight of every address and value a
-    memory access moves."""
+    The leakage of a cycle weighs every event of it: each update's flipped
+    bits, and the address and value each memory access moves over the
+    buses."""
 
     weights: tuple = (1.0,) * WORD_BITS
     noise_sigma: float = 0.0
-    include_bus: bool = True
 
     def __post_init__(self):
         if self.noise_sigma < 0:
@@ -86,7 +84,6 @@ class TraceSet:
     fixed_key: int | None
     seed: object
     cycle_offset: int = 0  # absolute cycle of the first trace column
-    word_width: int = WORD_BITS
 
     def __post_init__(self):
         self.traces = np.asarray(self.traces, dtype=np.float32)
@@ -134,7 +131,6 @@ def synth_traces(
     seed=0,
     *,
     window: tuple[int, int | None] | None = None,
-    plaintexts=None,
     cfg=None,
     slot: int = 0,
     init_builder=None,
@@ -150,31 +146,25 @@ def synth_traces(
     rail configuration `cfg` (or plain bit position `slot`).
     """
     (ts,) = _synth(
-        program, key, n, model, [seed], window=window, plaintexts=plaintexts, cfg=cfg,
-        slot=slot, init_builder=init_builder,
+        program, key, n, model, [seed], window=window, cfg=cfg, slot=slot,
+        init_builder=init_builder,
     )
     return ts
 
 
 def _synth(
-    program, key, n, model, seeds, *, window, plaintexts=None, cfg=None, slot=0,
-    init_builder=None,
+    program, key, n, model, seeds, *, window, cfg=None, slot=0, init_builder=None,
 ) -> list[TraceSet]:
     """One trace set of `n` runs per seed, all from one batch_run.
 
-    Each seed's generator draws its n plaintexts (unless `plaintexts`
-    gives them for a single seed); the concatenated plaintexts run as one
-    batch, each set views its leakage columns, and each set's noise comes
-    from its own generator after its plaintexts and is added in place.
+    Each seed's generator draws its n plaintexts; the concatenated
+    plaintexts run as one batch, each set views its leakage columns, and
+    each set's noise comes from its own generator after its plaintexts and
+    is added in place.
     Lanes never interact, so every set equals the one a batch of its own
     gives, bit for bit."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    if plaintexts is None:
-        pts = [rng.integers(0, 1 << 64, size=n, dtype=np.uint64) for rng in rngs]
-    else:
-        pts = [np.asarray(plaintexts, dtype=np.uint64)]
-        if len(pts[0]) != n:
-            raise LabError("need exactly n plaintexts")
+    pts = [rng.integers(0, 1 << 64, size=n, dtype=np.uint64) for rng in rngs]
     all_pts = np.concatenate(pts)
     if init_builder is None:
         mem = corpus_init(all_pts, int(key), slot=slot, cfg=cfg, mem_size=program.mem_size)
@@ -185,7 +175,6 @@ def _synth(
         len(all_pts),
         init_memory=mem,
         weights=model.weights,
-        include_bus=model.include_bus,
         window=window if window is not None else (0, None),
     )
     offset = res.window_start
@@ -460,13 +449,14 @@ def _row_dtype(n_cycles: int) -> np.dtype:
 def save_traces(path, traces: TraceSet) -> None:
     """Binary trace file: little-endian header {magic 'DPLT', version u32,
     n_runs u32, n_cycles u32, word_width u32}, then per run the 64-bit
-    plaintext (little-endian words) followed by n_cycles float32 samples."""
+    plaintext (little-endian words) followed by n_cycles float32 samples.
+    The word width is always WORD_BITS, the only one this machine has."""
     t = traces.traces
     dtype = _row_dtype(t.shape[1])
     step = max(1, _SAVE_CHUNK_BYTES // dtype.itemsize)
     rows = np.empty(min(step, t.shape[0]), dtype=dtype)  # reused for every chunk
     with open(path, "wb") as fh:
-        fh.write(TRACE_MAGIC + struct.pack("<IIII", TRACE_VERSION, *t.shape, traces.word_width))
+        fh.write(TRACE_MAGIC + struct.pack("<IIII", TRACE_VERSION, *t.shape, WORD_BITS))
         for lo in range(0, t.shape[0], step):
             chunk = rows[: min(step, t.shape[0] - lo)]
             chunk["pt"] = traces.plaintexts[lo : lo + len(chunk)]
@@ -484,6 +474,8 @@ def load_traces(path) -> TraceSet:
         version, n_runs, n_cycles, width = struct.unpack("<4xIIII", header)
         if version != TRACE_VERSION:
             raise LabError(f"unsupported trace file version {version}")
+        if width != WORD_BITS:
+            raise LabError(f"trace file of {width}-bit words; this machine has {WORD_BITS}-bit words")
         need = n_runs * (8 + 4 * n_cycles)
         have = os.fstat(fh.fileno()).st_size - 20
         if have < need:
@@ -497,5 +489,4 @@ def load_traces(path) -> TraceSet:
         plaintexts=rows["pt"].astype(np.uint64),
         fixed_key=None,
         seed=None,
-        word_width=width,
     )

@@ -39,12 +39,13 @@ from them.
 
 A pc's first visit runs through one generic step that dispatches on
 operand type and is not cached.  Only a pc that runs again is compiled,
-into closures specialised on operand kind and on whether leakage and bus
-events are recorded.  Straight-line code, which runs each instruction
-once, thus compiles nothing, and a loop compiles each pc of its body
-once.  Both paths take an instruction's slot codes from one function,
-``_layout``, so they fill the same slots.  A run without leakage pays for
-no recording, and the run-up to a trace window compiles only what it
+into closures specialised on operand kind and on whether leakage is
+recorded; recorded leakage always holds every event, the bus ones
+included.  Straight-line code, which runs each instruction once, thus
+compiles nothing, and a loop compiles each pc of its body once.  Both
+paths take an instruction's slot codes from one function, ``_layout``,
+so they fill the same slots.  A run without leakage pays for no
+recording, and the run-up to a trace window compiles only what it
 executes twice.
 """
 from __future__ import annotations
@@ -152,19 +153,16 @@ class _Block:
         count = np.fromiter(map(count.__getitem__, trace), np.intp, len(trace))
         starts = np.cumsum(count) - count
         w = self.weights[:k]
-        bus = self.atab is not None
-        if bus:
-            codes = np.fromiter(chain.from_iterable(map(layout.__getitem__, trace)), np.intp, k)
-            at, ct = np.flatnonzero(codes == _ADDR), np.flatnonzero(codes >= 0)
-            addr_w = self.atab.take(self.cells[at] // self.lanes)
+        codes = np.fromiter(chain.from_iterable(map(layout.__getitem__, trace)), np.intp, k)
+        at, ct = np.flatnonzero(codes == _ADDR), np.flatnonzero(codes >= 0)
+        addr_w = self.atab.take(self.cells[at] // self.lanes)
         # the gather reads intp indices; widening the bytes into the cell
         # rows, read by now, spares numpy a temporary of that size per block
         idx = self.cells[:k]
         idx[...] = self.data[:k]
         self.wtab.take(idx, out=w, mode="clip")
-        if bus:
-            w[at] = addr_w
-            w[ct] = self.atab[codes[ct], None]
+        w[at] = addr_w
+        w[ct] = self.atab[codes[ct], None]
         # cycles with the same slot count add their slots in order at once;
         # a cycle without events keeps the zero row of `out`
         for m in np.flatnonzero(np.bincount(count)[1:]) + 1:
@@ -180,30 +178,29 @@ def _beyond(op) -> MachineError:
     return MachineError(f"indexed address beyond memory (r{op.base.index} + {op.offset})")
 
 
-def _layout(srcs, dest, bus: bool) -> tuple:
-    """Slot codes of an instruction's events in a recorded cycle: with the
-    bus, each memory operand's address and data-bus slots, in operand order
-    (sources, then the destination); then the destination's flips slot.  A
-    load's data-bus slot and a store's flips slot are thus each its last."""
+def _layout(srcs, dest) -> tuple:
+    """Slot codes of an instruction's events in a recorded cycle: each
+    memory operand's address and data-bus slots, in operand order (sources,
+    then the destination); then the destination's flips slot.  A load's
+    data-bus slot and a store's flips slot are thus each its last."""
     codes = []
-    if bus:
-        for op in (*srcs, dest):
-            cls = type(op)
-            if cls is MemDirect:
-                codes += op.address, _DATA
-            elif cls is MemIndirect:
-                base = op.base
-                codes += _ADDR if type(base) is Register else base.value + op.offset, _DATA
+    for op in (*srcs, dest):
+        cls = type(op)
+        if cls is MemDirect:
+            codes += op.address, _DATA
+        elif cls is MemIndirect:
+            base = op.base
+            codes += _ADDR if type(base) is Register else base.value + op.offset, _DATA
     if dest is not None:
         codes.append(_DATA)
     return tuple(codes)
 
 
 #: the layout of an instruction that records no bus event: its flips slot
-_FLIPS = _layout((), Register(0), False)
+_FLIPS = _layout((), Register(0))
 
 
-def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool):
+def _compiler(program: LinkedProgram, regs, mem, block: _Block | None):
     """(steps, count, layout) of a run on regs and mem.  steps[pc](pc, k)
     runs instruction pc, recording its events from slot k of the block on,
     and returns the next pc; without a block it records nothing and ignores
@@ -224,9 +221,9 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     # holds, or None; stores write through, so regs stays the ground truth
     lo, hi = regs.min(axis=1).tolist(), regs.max(axis=1).tolist()
     uni = [a if a == b else None for a, b in zip(lo, hi)]
-    if block is not None:
+    rec = block is not None
+    if rec:
         data, cells = list(block.data), list(block.cells)
-    rec_bus = block is not None and bus
     bases: dict = {}
     # a numpy call on a row and a Python int costs about twice one on two
     # rows (row & 3: 0.87 against 0.50 us at 100 lanes), so an int that
@@ -278,7 +275,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 return cell if u is None else u
 
             return load_reg
-        if isinstance(op, MemDirect) and not rec_bus:
+        if isinstance(op, MemDirect) and not rec:
             cell = mem[op.address]
             return lambda k: cell
         if isinstance(op, MemDirect):
@@ -292,7 +289,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         # a lane-uniform base reads one row; an address beyond memory
         # raises IndexError on either path
         index, bi, off = cell_index(op), op.base.index, op.offset
-        if not rec_bus:
+        if not rec:
 
             def load_indexed(k):
                 u = uni[bi]
@@ -360,16 +357,6 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                     cell[...] = as_row(v) if type(v) is int else v
 
                 return store_cell
-            if not bus:
-
-                def store_cell_flips(v, k):
-                    if type(v) is int:
-                        v = as_row(v)
-                    np.bitwise_xor(cell, v, out=data[k + j])
-                    cell[...] = v
-
-                return store_cell_flips
-
             def store_cell_rec(v, k):
                 if type(v) is int:
                     v = as_row(v)
@@ -394,26 +381,22 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                     raise _beyond(op) from None
 
             return store_indexed
-        # address, data bus and flips slots, or the flips slot alone
-        at_row, flips = (cells, j + 2) if bus else (None, j)
-
         def store_indexed_rec(v, k):
-            # a lane-uniform base writes the row mem[at], else flat[at]
+            # a lane-uniform base writes the row mem[at], else flat[at];
+            # the address, data-bus and flips slots follow one another
             u = uni[bi]
             if type(v) is int:
                 v = as_row(v)
             if u is None:
-                target, at = flat, index(scratch if at_row is None else at_row[k + j])
+                target, at = flat, index(cells[k + j])
             else:
                 target, at = mem, u + off
-                if at_row is not None:
-                    at_row[k + j].fill(at * lanes)
+                cells[k + j].fill(at * lanes)
             try:
-                np.bitwise_xor(target[at], v, out=data[k + flips])
+                np.bitwise_xor(target[at], v, out=data[k + j + 2])
             except IndexError:
                 raise _beyond(op) from None
-            if at_row is not None:
-                data[k + j + 1][...] = v
+            data[k + j + 1][...] = v
             target[at] = v
 
         return store_indexed_rec
@@ -429,7 +412,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
             return lambda pc, k, t=ops[0].index: t
         srcs = ops[:2] if kind == "branch" else ops[1:]
         # each operand's events start where _layout puts them
-        loads = [load(op, len(_layout(srcs[:i], None, rec_bus))) for i, op in enumerate(srcs)]
+        loads = [load(op, len(_layout(srcs[:i], None))) for i, op in enumerate(srcs)]
         a, b = loads[0], loads[-1]
         if kind == "branch":
 
@@ -443,7 +426,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 return t if cond else nxt
 
             return f_br
-        st = store(ops[0], len(_layout(srcs, None, rec_bus)))
+        st = store(ops[0], len(_layout(srcs, None)))
         if kind == "unary":
 
             def f_unary(pc, k, ld=a, st=st, fn=fn, nxt=nxt):
@@ -484,13 +467,13 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         if kind == "jump":
             return ops[0].index
         if kind == "branch":
-            if block is not None:
-                slots = layout[pc] = _layout(ops[:2], None, bus)
+            if rec:
+                slots = layout[pc] = _layout(ops[:2], None)
                 count[pc] = len(slots)
             return again(pc, k)
         dest, srcs = ops[0], ops[1:]
         x = y = None
-        touched = False  # a memory access: with the bus, more than _FLIPS
+        touched = False  # a memory access: more slots than _FLIPS
         for op in srcs:
             cls = type(op)
             if cls is Immediate:
@@ -509,7 +492,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                         raise _beyond(op) from None
                 else:
                     v = mem[op.address if cls is MemDirect else _fixed(op, mem_size).address]
-                if rec_bus:
+                if rec:
                     data[k + 1][...] = v
                     k += 2
             x, y = y, v
@@ -520,15 +503,14 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         else:
             v = fn(as_row(x) if type(x) is int else x, as_row(y) if type(y) is int else y, mask_row)
         cls = type(dest)
-        if block is not None:
-            touched = rec_bus and (touched or cls is not Register)
-            slots = layout[pc] = _layout(srcs, dest, bus) if touched else _FLIPS
+        if rec:
+            slots = layout[pc] = _layout(srcs, dest) if touched or cls is not Register else _FLIPS
             count[pc] = len(slots)
         if cls is Register:
             i = dest.index
             cell, u = rows[i], uni[i]
             if type(v) is int:
-                if block is not None:
+                if rec:
                     if u is None:
                         np.bitwise_xor(cell, as_row(v), out=data[k])
                     else:
@@ -536,7 +518,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
                 uni[i] = v
                 cell.fill(v)
             else:
-                if block is not None:
+                if rec:
                     np.bitwise_xor(cell, v, out=data[k])
                 uni[i] = None
                 cell[...] = v
@@ -548,11 +530,9 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
         else:
             target, at = mem, dest.address if cls is MemDirect else _fixed(dest, mem_size).address
         try:
-            if block is not None:
-                if bus:
-                    data[k + 1][...] = v
-                    k += 2
-                np.bitwise_xor(target[at], v, out=data[k])
+            if rec:
+                data[k + 1][...] = v
+                np.bitwise_xor(target[at], v, out=data[k + 2])
             target[at] = v
         except IndexError:
             raise _beyond(dest) from None
@@ -561,12 +541,12 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None, bus: bool
     def indexed(op, k):
         """(target, at) of an indexed operand on its first visit: its cell
         is the row mem[u + offset] for a lane-uniform base u, else flat[at],
-        `at` a row of cell indices.  With the bus, slot k gets the address."""
+        `at` a row of cell indices.  With a block, slot k gets the address."""
         u = uni[op.base.index]
         if u is None:
-            return flat, cell_index(op)(cells[k] if rec_bus else scratch)
+            return flat, cell_index(op)(cells[k] if rec else scratch)
         at = u + op.offset
-        if rec_bus:
+        if rec:
             cells[k].fill(at * lanes)
         return mem, at
 
@@ -581,7 +561,7 @@ def batch_run(
     init_memory: np.ndarray | None = None,
     init_registers: np.ndarray | None = None,
     weights=None,
-    include_bus: bool = False,
+    include_bus: bool = True,
     window: tuple[int, int | None] = (0, None),
     max_steps: int = 50_000_000,
 ) -> BatchResult:
@@ -589,10 +569,22 @@ def batch_run(
 
     With weights, returns per-cycle weighted leakage for cycles in
     [window[0], window[1]); execution stops at halt or at the window end,
-    whichever comes first.  Raises StepLimitExceeded when max_steps stops
-    a run before either, MachineError for an address beyond memory, and
-    ValueError for fewer than one run or a reversed window.
+    whichever comes first.  A cycle's leakage sums every event of it, the
+    address- and data-bus events included.  Raises StepLimitExceeded when
+    max_steps stops a run before either, MachineError for an address
+    beyond memory, and ValueError for fewer than one run, a reversed
+    window or `include_bus` False.
+
+    `include_bus` is accepted only as True: the traced probe of
+    ``perfbench/run.py`` still passes it, and it goes with the next change
+    to that harness.  ``machine.cycle_leakage(..., include_bus=False)`` is
+    the bus-less reference.
     """
+    if not include_bus:
+        raise ValueError(
+            "batch_run always records the bus events; machine.cycle_leakage("
+            "..., include_bus=False) gives leakage without them"
+        )
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
     dtype = np.uint8
@@ -616,9 +608,9 @@ def batch_run(
     n = len(program.instructions)
     block = leak = None
     if weights is not None:
-        # float32 weights of every byte, and of every address with the bus
-        wtab, atab = weight_tables(weights, program.mem_size if include_bus else 0)
-        block = _Block(n_runs, wtab.astype(np.float32), atab.astype(np.float32) if include_bus else None)
+        # float32 weights of every byte and of every address
+        wtab, atab = weight_tables(weights, program.mem_size)
+        block = _Block(n_runs, wtab.astype(np.float32), atab.astype(np.float32))
     run_up = stop if block is None else min(start, stop)
     pc = cycle = 0
     # compiling makes many small objects; with the collector on, a long
@@ -629,13 +621,13 @@ def batch_run(
     gc.disable()
     steps = []
     try:
-        steps = _compiler(program, regs, mem, None, False)[0]
+        steps = _compiler(program, regs, mem, None)[0]
         while pc < n and cycle < run_up:
             pc = steps[pc](pc, 0)
             cycle += 1
         if block is not None:
             steps.clear()  # the run-up's closures and constant rows go first
-            code = _compiler(program, regs, mem, block, include_bus)
+            code = _compiler(program, regs, mem, block)
             steps = code[0]
             pc, cycle, leak = block.run(code, pc, cycle, stop, start, end)
     finally:

@@ -251,18 +251,20 @@ class Verifier:
         if spec.kind == "jump":
             next_pc = inst.operands[0].index
         elif spec.kind == "branch":
-            a = self._load(state, inst.operands[0], findings, idx)
-            b = self._load(state, inst.operands[1], findings, idx)
-            target = inst.operands[2].index
-            if len(a) > 1 or len(b) > 1:
-                if target != next_pc:
+            sa, sb, label = inst.operands
+            a = self._load(state, sa, findings, idx)
+            b = self._load(state, sb, findings, idx)
+            # the outcome over every pair of values, or over each value
+            # with itself when both read one location, as a binary step
+            same = type(sa) is type(sb) and sa == sb
+            taken = {bool(spec.fn(x, y, WORD_MASK)) for x in a for y in ((x,) if same else b)}
+            if len(taken) > 1:
+                if label.index != next_pc:
                     raise SensitiveBranchError(
                         f"instruction {idx}: branch condition is not a single value"
                     )
-            else:
-                (va,), (vb,) = a, b
-                if spec.fn(va, vb, WORD_MASK):
-                    next_pc = target
+            elif taken.pop():
+                next_pc = label.index
         elif spec.kind == "unary":
             dest, src = inst.operands
             vals = self._load(state, src, findings, idx)
@@ -462,7 +464,6 @@ def cross_validate(
         init_memory=mem,
         init_registers=regs,
         weights=[1.0] * WORD_BITS,
-        include_bus=True,
         max_steps=2_000_000,
     )
     diff = res.leakage[:, 0::2] != res.leakage[:, 1::2]  # (cycles, n_pairs)

@@ -346,6 +346,8 @@ FAILURES = [
     pytest.param(["-v", "mem5000.asm"], "verify", id="verify-sensitive-cell-out-of-range"),
     pytest.param(["equiv", "r40.asm", "r40.asm"], "equivalence", id="equiv-sensitive-register-out-of-range"),
     pytest.param(["lab", "nicv", "-i", "huge.bin"], "lab", id="trace-header-larger-than-file"),
+    pytest.param(["lab", "nicv", "-i", "wide.bin"], "lab", id="nicv-trace-of-16-bit-words"),
+    pytest.param(["lab", "cpa", "-i", "wide.bin"], "lab", id="cpa-trace-of-16-bit-words"),
     # one library error per pipeline stage
     pytest.param(["-l", "leadzero.asm"], "parse", id="parse-leading-zero"),
     pytest.param(["-d", "-bf", "-1", "-bt", "-2", "-po", "-2", "gate.asm"], "transform",
@@ -361,6 +363,11 @@ def test_failure_is_one_json_report(capsys, tmp_path, monkeypatch, argv, stage):
         (tmp_path / name).write_text(text)
     # a 20-byte trace file whose header claims 10^6 runs of 10^6 cycles
     (tmp_path / "huge.bin").write_bytes(b"DPLT" + struct.pack("<IIII", 1, 10**6, 10**6, 8))
+    # two runs of one cycle, plaintexts 0 and 1, in a header that claims
+    # 16-bit words
+    (tmp_path / "wide.bin").write_bytes(
+        b"DPLT" + struct.pack("<IIII", 1, 2, 1, 16) + struct.pack("<QfQf", 0, 0.0, 1, 0.0)
+    )
     monkeypatch.chdir(tmp_path)
     code = cli.main(argv)
     out, err = capsys.readouterr()

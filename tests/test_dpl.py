@@ -303,8 +303,6 @@ def test_transform_warns_on_tainted_arithmetic():
     src = ";@sensitive @10\nmov r4 @10\nadd r5 r4 #1\n"
     _, rep = transform(parse(src), CANON)
     assert any("add" in w for w in rep.warnings)
-    with pytest.raises(TransformError):
-        transform(parse(src), CANON, strict=True)
 
 
 @pytest.mark.parametrize("store, warnings", [

@@ -32,7 +32,7 @@ from dualrail.present import (
     first_round_subkey_nibble,
     loop_iteration_window,
 )
-from dualrail.asm import parse, resolve
+from dualrail.asm import WORD_BITS, parse, resolve
 
 from conftest import TEST_KEY
 
@@ -145,11 +145,10 @@ def test_synth_reproducible_and_seeded(linked_unprotected, sbox_window_u):
 def test_synth_window_is_slice_of_full(linked_unprotected, sbox_window_u):
     m = LeakModel(noise_sigma=0.0)
     lo, hi = sbox_window_u
-    pts = list(range(40))
-    full = synth_traces(linked_unprotected, TEST_KEY, 40, m, plaintexts=pts)
-    part = synth_traces(
-        linked_unprotected, TEST_KEY, 40, m, plaintexts=pts, window=(lo, hi)
-    )
+    # one seed draws the same plaintexts for both
+    full = synth_traces(linked_unprotected, TEST_KEY, 40, m, seed=3)
+    part = synth_traces(linked_unprotected, TEST_KEY, 40, m, seed=3, window=(lo, hi))
+    assert np.array_equal(part.plaintexts, full.plaintexts)
     assert np.array_equal(part.traces, full.traces[:, lo:hi])
 
 
@@ -459,7 +458,7 @@ def test_save_load_round_trip(tmp_path, linked_unprotected, sbox_window_u):
     assert back.traces.dtype == np.float32
     assert np.array_equal(back.plaintexts, ts.plaintexts)
     assert back.fixed_key is None  # the key is never written to disk
-    assert back.word_width == ts.word_width
+    assert path.read_bytes()[16:20] == struct.pack("<I", WORD_BITS)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -472,7 +471,7 @@ def test_load_rejects_garbage(tmp_path):
 def _save_traces_per_row(path, ts):
     """The trace file as the first writer made it: one struct call per row."""
     with open(path, "wb") as fh:
-        fh.write(b"DPLT" + struct.pack("<IIII", 1, ts.n_runs, ts.n_cycles, ts.word_width))
+        fh.write(b"DPLT" + struct.pack("<IIII", 1, ts.n_runs, ts.n_cycles, WORD_BITS))
         for r in range(ts.n_runs):
             fh.write(struct.pack("<Q", int(ts.plaintexts[r])))
             fh.write(ts.traces[r].astype("<f4").tobytes())
@@ -498,6 +497,13 @@ def test_trace_file_bytes_unchanged(tmp_path, n_runs, n_cycles):
         back = load_traces(old)
         assert np.array_equal(back.traces, ts.traces) and back.traces.dtype == np.float32
         assert np.array_equal(back.plaintexts, ts.plaintexts) and back.plaintexts.dtype == np.uint64
+
+
+def test_load_rejects_other_word_width(tmp_path):
+    path = tmp_path / "wide.bin"
+    path.write_bytes(b"DPLT" + struct.pack("<IIII", 1, 1, 1, 16) + bytes(12))
+    with pytest.raises(LabError, match="trace file of 16-bit words; this machine has 8-bit words"):
+        load_traces(path)
 
 
 def test_load_checks_header_against_file_size(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 from dualrail import vector_machine
 from dualrail.asm import parse, resolve
+from dualrail.lab import LeakModel, synth_traces
 from dualrail.machine import MachineError, MachineState, StepLimitExceeded, cycle_leakage, run
 from dualrail.vector_machine import NonConstantTimeError, batch_run
 
@@ -52,17 +53,28 @@ def test_matches_scalar_machine():
         scalar = run(lp, init=st)
         assert list(res.registers[:, j]) == list(scalar.final_state.registers)
         assert list(res.memory[:, j]) == list(scalar.final_state.memory)
-        lk = cycle_leakage(scalar.events, [1.0] * 8, n_cycles=res.leakage.shape[0])
+        lk = cycle_leakage(scalar.events, [1.0] * 8, include_bus=True, n_cycles=res.leakage.shape[0])
         assert np.allclose(res.leakage[:, j], lk)
 
 
 def test_leakage_includes_bus_when_asked():
     lp = resolve(parse("mov r3 !r1,100\n"))
-    mem = np.zeros((1024, 1), dtype=np.uint8)
-    mem[100] = 7
-    no_bus = batch_run(lp, 1, init_memory=mem, weights=(1.0,) * 8, include_bus=False)
-    with_bus = batch_run(lp, 1, init_memory=mem, weights=(1.0,) * 8, include_bus=True)
-    assert with_bus.leakage.sum() > no_bus.leakage.sum()
+    with pytest.raises(ValueError, match=r"cycle_leakage\(\.\.\., include_bus=False\)"):
+        batch_run(lp, 1, weights=(1.0,) * 8, include_bus=False)
+    # a noiseless trace weighs the address, the value on the data bus and
+    # the register's flips: 3 + 3 + 3 bits
+    st = MachineState.fresh(32, 1024)
+    st.memory[100] = 7
+    lk = cycle_leakage(run(lp, init=st).events, (1.0,) * 8, include_bus=True)
+    assert lk == [9.0]
+
+    def init(pts, key):
+        mem = np.zeros((1024, len(pts)), dtype=np.uint8)
+        mem[100] = 7
+        return mem
+
+    ts = synth_traces(lp, 0, 2, LeakModel(), init_builder=init)
+    assert ts.traces.tobytes() == np.array([lk, lk], dtype=np.float32).tobytes()
 
 
 def test_uniform_branches_allowed():
@@ -108,7 +120,7 @@ LONG_LOOP = (
 def test_open_window_matches_fixed_window():
     lp = resolve(parse(LONG_LOOP))
     mem = _random_mem(5, seed=3)
-    kw = dict(init_memory=mem, weights=(1.0, 2.0, 0.5, 1.0, 1.0, 3.0, 1.0, 1.0), include_bus=True)
+    kw = dict(init_memory=mem, weights=(1.0, 2.0, 0.5, 1.0, 1.0, 3.0, 1.0, 1.0))
     full = batch_run(lp, 5, **kw)
     assert full.cycles == 4820
     assert full.leakage.shape == (4820, 5)
@@ -186,9 +198,15 @@ def test_address_beyond_memory_is_machine_error(src):
         run(lp)
 
 
+#: batch_run without weights, which records nothing, and with weights,
+#: which records every event; the ids are the (weights, bus) ones these
+#: cases had beside a bus-less recording mode, which is gone
+RECORDING = [pytest.param(None, id="None-False"), pytest.param((1.0,) * 8, id="weights2-True")]
+
+
 @pytest.mark.parametrize("src", ["mov r2 !r1,900\n", "mov !r1,900 r2\n"])
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
-def test_uniform_base_beyond_memory_message(src, weights, bus):
+@pytest.mark.parametrize("weights", RECORDING)
+def test_uniform_base_beyond_memory_message(src, weights):
     # r1 the same in both lanes reads or writes one row; per lane it goes
     # through flat cell indices: both stop with the same error
     lp = resolve(parse(src))
@@ -197,7 +215,7 @@ def test_uniform_base_beyond_memory_message(src, weights, bus):
     for r1 in ([200, 200], [200, 201]):
         regs[1] = r1
         with pytest.raises(MachineError) as err:
-            batch_run(lp, 2, init_registers=regs, weights=weights, include_bus=bus)
+            batch_run(lp, 2, init_registers=regs, weights=weights)
         messages.append(str(err.value))
     assert messages == ["indexed address beyond memory (r1 + 900)"] * 2
 
@@ -221,8 +239,8 @@ UNIFORM_TURNS = (
 )
 
 
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
-def test_uniform_register_turns_match_scalar(weights, bus):
+@pytest.mark.parametrize("weights", RECORDING)
+def test_uniform_register_turns_match_scalar(weights):
     lp = resolve(parse(UNIFORM_TURNS))
     mem = np.random.default_rng(6).integers(0, 256, size=(1024, 4), dtype=np.uint8)
     mem[101] = [0, 5, 9, 5]
@@ -231,14 +249,14 @@ def test_uniform_register_turns_match_scalar(weights, bus):
         # its event bytes (addresses add 1.0 per bit above the word), exact
         # in float32 and float64 alike
         weights = tuple(float(1 << i) for i in range(8))
-    res = batch_run(lp, 4, init_memory=mem, weights=weights, include_bus=bus)
+    res = batch_run(lp, 4, init_memory=mem, weights=weights)
     for j in range(4):
         scalar = run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
         assert res.cycles == scalar.instruction_count == 21
         assert list(res.registers[:, j]) == scalar.final_state.registers
         assert list(res.memory[:, j]) == scalar.final_state.memory
         if weights is not None:
-            lk = cycle_leakage(scalar.events, weights, include_bus=bus, n_cycles=res.cycles)
+            lk = cycle_leakage(scalar.events, weights, include_bus=True, n_cycles=res.cycles)
             assert res.leakage[:, j].tobytes() == np.asarray(lk, dtype=np.float32).tobytes()
 
 
@@ -282,7 +300,7 @@ INDEXED_LOOP = (
 def test_open_window_across_block_flushes(monkeypatch):
     lp = resolve(parse(INDEXED_LOOP))
     mem = np.random.default_rng(4).integers(0, 256, size=(1024, 5), dtype=np.uint8)
-    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True)
+    kw = dict(init_memory=mem, weights=PIN_WEIGHTS)
     one_block = batch_run(lp, 5, **kw)
     assert one_block.cycles == 1001
     # the smallest block holds 28 slots: the run flushes it about 110 times;
@@ -338,8 +356,8 @@ LOOPED = "mov r9 #0\ntop: " + BODY + "add r9 r9 #1\nbne r9 #3 top\n"
 
 
 @pytest.mark.parametrize("src,cycles", [(STRAIGHT, 23), (LOOPED, 76)])
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
-def test_first_visit_and_compiled_match_scalar(src, cycles, weights, bus):
+@pytest.mark.parametrize("weights", RECORDING)
+def test_first_visit_and_compiled_match_scalar(src, cycles, weights):
     # every pc of the body runs once through the generic step; in the loop
     # it is compiled on the second pass and runs compiled on the third
     lp = resolve(parse(src))
@@ -347,14 +365,14 @@ def test_first_visit_and_compiled_match_scalar(src, cycles, weights, bus):
     mem[101] = [0, 5, 9, 5]
     if weights is not None:
         weights = tuple(float(1 << i) for i in range(8))  # place values: exact sums
-    res = batch_run(lp, 4, init_memory=mem, weights=weights, include_bus=bus)
+    res = batch_run(lp, 4, init_memory=mem, weights=weights)
     for j in range(4):
         scalar = run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
         assert res.cycles == scalar.instruction_count == cycles
         assert list(res.registers[:, j]) == scalar.final_state.registers
         assert list(res.memory[:, j]) == scalar.final_state.memory
         if weights is not None:
-            lk = cycle_leakage(scalar.events, weights, include_bus=bus, n_cycles=res.cycles)
+            lk = cycle_leakage(scalar.events, weights, include_bus=True, n_cycles=res.cycles)
             assert res.leakage[:, j].tobytes() == np.asarray(lk, dtype=np.float32).tobytes()
 
 
@@ -377,8 +395,8 @@ def _compiles(call):
     return counts
 
 
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
-def test_straight_line_compiles_nothing(weights, bus):
+@pytest.mark.parametrize("weights", RECORDING)
+def test_straight_line_compiles_nothing(weights):
     # 2,000 distinct instructions over every operand kind, each run once
     forms = ("mov r{r} @{a}", "xor r{r} r{s} !r1,{a}", "mov @{b} r{r}", "and r{r} r{s} #{c}",
              "mov !r1,{b} r{s}", "orr @{b} @{a} r{s}", "mov r{r} !#{a},1", "not @{b} r{s}")
@@ -389,22 +407,24 @@ def test_straight_line_compiles_nothing(weights, bus):
     mem = np.random.default_rng(2).integers(0, 256, size=(1024, 3), dtype=np.uint8)
     regs = np.zeros((32, 3), dtype=np.uint8)
     regs[1] = [0, 3, 7]  # a varying base
-    kw = dict(init_memory=mem, init_registers=regs, weights=weights, include_bus=bus)
+    kw = dict(init_memory=mem, init_registers=regs, weights=weights)
     assert _compiles(lambda: batch_run(lp, 3, **kw)) == Counter()
 
 
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, True)])
-def test_loop_compiles_each_pc_once(weights, bus):
+@pytest.mark.parametrize(
+    "weights", [pytest.param(None, id="None-False"), pytest.param((1.0,) * 8, id="weights1-True")]
+)
+def test_loop_compiles_each_pc_once(weights):
     lp = resolve(parse(INDEXED_LOOP))  # pc 0 runs once, pcs 1-5 200 times
     res = []
-    counts = _compiles(lambda: res.append(batch_run(lp, 2, weights=weights, include_bus=bus)))
+    counts = _compiles(lambda: res.append(batch_run(lp, 2, weights=weights)))
     assert res[0].cycles == 1001
     assert counts == Counter(range(1, 6))
 
 
 @pytest.mark.parametrize("access", ["mov r2 !r1,1000", "mov !r1,1000 r2"])
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
-def test_compiled_indexed_access_beyond_memory(access, weights, bus):
+@pytest.mark.parametrize("weights", RECORDING)
+def test_compiled_indexed_access_beyond_memory(access, weights):
     # r1 steps by 20, so the third pass, the first through the compiled
     # closure, reaches @1040 and beyond
     lp = resolve(parse(f"top: {access}\nadd r1 r1 #20\nadd r3 r3 #1\nbne r3 #5 top\n"))
@@ -416,25 +436,25 @@ def test_compiled_indexed_access_beyond_memory(access, weights, bus):
 
         def call():
             with pytest.raises(MachineError, match=r"indexed address beyond memory \(r1 \+ 1000\)"):
-                batch_run(lp, 2, init_registers=regs, weights=weights, include_bus=bus)
+                batch_run(lp, 2, init_registers=regs, weights=weights)
 
         assert _compiles(call)[0] == 1
 
 
-@pytest.mark.parametrize("weights,bus", [(None, False), ((1.0,) * 8, False), ((1.0,) * 8, True)])
-def test_nop_in_a_loop_matches_scalar(weights, bus):
+@pytest.mark.parametrize("weights", RECORDING)
+def test_nop_in_a_loop_matches_scalar(weights):
     lp = resolve(parse("mov r2 @100\ntop: nop\nxor @101 @101 r2\nnop\nadd r1 r1 #1\nbne r1 #3 top\n"))
     mem = np.zeros((1024, 2), dtype=np.uint8)
     mem[100] = [5, 6]
     res = []
-    assert _compiles(lambda: res.append(batch_run(lp, 2, init_memory=mem, weights=weights, include_bus=bus))) \
+    assert _compiles(lambda: res.append(batch_run(lp, 2, init_memory=mem, weights=weights))) \
         == Counter(range(1, 6))
     for j in range(2):
         scalar = run(lp, init=MachineState([0] * 32, [int(v) for v in mem[:, j]]))
         assert res[0].cycles == scalar.instruction_count == 16
         assert list(res[0].memory[:, j]) == scalar.final_state.memory
         if weights is not None:
-            lk = cycle_leakage(scalar.events, weights, include_bus=bus, n_cycles=res[0].cycles)
+            lk = cycle_leakage(scalar.events, weights, include_bus=True, n_cycles=res[0].cycles)
             assert res[0].leakage[:, j].tobytes() == np.asarray(lk, dtype=np.float32).tobytes()
 
 
@@ -446,7 +466,7 @@ def test_run_leaves_no_reference_cycle():
         gc.collect()
         gc.disable()
         try:
-            batch_run(lp, 2, weights=(1.0,) * 8, include_bus=True, window=window)
+            batch_run(lp, 2, weights=(1.0,) * 8, window=window)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -457,7 +477,7 @@ def test_open_window_leakage_under_profiler(monkeypatch):
     # so growing and cutting it must not depend on its reference count
     lp = resolve(parse(INDEXED_LOOP))
     mem = np.random.default_rng(4).integers(0, 256, size=(1024, 5), dtype=np.uint8)
-    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True, window=(7, None))
+    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, window=(7, None))
     for piece_bytes in (vector_machine.PIECE_BYTES, 1):
         monkeypatch.setattr(vector_machine, "PIECE_BYTES", piece_bytes)
         plain = batch_run(lp, 5, **kw)
@@ -469,7 +489,7 @@ def test_open_window_leakage_under_profiler(monkeypatch):
 def test_window_ends_after_halt():
     lp = resolve(parse(SRC))
     mem = _random_mem(3, seed=5)
-    kw = dict(init_memory=mem, weights=PIN_WEIGHTS, include_bus=True)
+    kw = dict(init_memory=mem, weights=PIN_WEIGHTS)
     whole = batch_run(lp, 3, **kw)
     assert whole.cycles == 13
     past = batch_run(lp, 3, window=(4, 40), **kw)
@@ -502,41 +522,37 @@ def test_reversed_window_rejected():
 PIN_WEIGHTS = (1.3, 0.7, 1, 1.1, 0.9, 1, 1.2, 0.8)
 
 
-def _pin_leakage(linked, cfg, window, bus, lanes=4):
+def _pin_leakage(linked, cfg, window, lanes=4):
     from conftest import TEST_KEY
     from dualrail.present import corpus_init
 
     pts = np.random.default_rng(11).integers(0, 1 << 64, size=lanes, dtype=np.uint64)
     mem = corpus_init(pts, TEST_KEY, cfg=cfg, mem_size=linked.mem_size)
-    res = batch_run(linked, lanes, init_memory=mem, weights=PIN_WEIGHTS, include_bus=bus,
-                    window=window)
+    res = batch_run(linked, lanes, init_memory=mem, weights=PIN_WEIGHTS, window=window)
     assert res.leakage.dtype == np.float32 and res.leakage.flags.c_contiguous
     return hashlib.sha256(res.leakage.tobytes()).hexdigest()
 
 
 #: sha256 of batch_run(...).leakage.tobytes(), recorded before the engine
-#: weighted recorded event bytes per block instead of per event
+#: weighted recorded event bytes per block instead of per event; the ids
+#: end in -True, the bus flag the pins were recorded with
 LEAKAGE_PINS = {
-    ('unprotected', 'whole', False): 'fb5cc1be669406f41186f96fd266eae3ca236e7eb94f8ee8b26239d110f40e6e',
-    ('unprotected', 'whole', True): 'cb2a3809521751873f6eaf2e3a7026192d973ed10c527288e9d8784b4809e5c3',
-    ('unprotected', 'sbox', False): '9f70b5d3a6d09c1c3e3bc358cae5bca0ab048ecae5dfbd5927e734ade41bed0a',
-    ('unprotected', 'sbox', True): 'b259071146f7ee91794ac9f05615dabbc8421d53202370f55251497821f0ef44',
-    ('unprotected', 'fixed', False): 'a5ba810abbfa9faf63914c85e12991186a2b1dcfdb8c47c01501a5d94e2d7fa4',
-    ('unprotected', 'fixed', True): '78c3071b0bea7eccf7aec95c944b28ddd37aaf49dd43212afef9cf10bfd191fb',
-    ('dpl', 'whole', False): '1da018b01aaf3def1f7d9b07733689b549db671156778f165050c1ad139a94b2',
-    ('dpl', 'whole', True): 'a498ac3eb3532eeb31a643fb44ea88f837c72bdfe772e38ff7002942ade0493c',
-    ('dpl', 'sbox', False): 'b0ff221cada056dcdb1d3a35a5e9caef2e093c9d0b8c01a41d63c0a69fc575a9',
-    ('dpl', 'sbox', True): '4aa98d0542b158e1d97fc23f09926e7787d89721e10e1a10e7eefe3e0d08dd09',
-    ('dpl', 'fixed', False): '150137cb51c00750e378c80b7036898aea84b3f90267c4b535532efe356465c8',
-    ('dpl', 'fixed', True): '932fe315d718283a2aa9e1746100d4e331542c0d7d5527c498e495a294b761da',
+    ('unprotected', 'whole'): 'cb2a3809521751873f6eaf2e3a7026192d973ed10c527288e9d8784b4809e5c3',
+    ('unprotected', 'sbox'): 'b259071146f7ee91794ac9f05615dabbc8421d53202370f55251497821f0ef44',
+    ('unprotected', 'fixed'): '78c3071b0bea7eccf7aec95c944b28ddd37aaf49dd43212afef9cf10bfd191fb',
+    ('dpl', 'whole'): 'a498ac3eb3532eeb31a643fb44ea88f837c72bdfe772e38ff7002942ade0493c',
+    ('dpl', 'sbox'): '4aa98d0542b158e1d97fc23f09926e7787d89721e10e1a10e7eefe3e0d08dd09',
+    ('dpl', 'fixed'): '932fe315d718283a2aa9e1746100d4e331542c0d7d5527c498e495a294b761da',
 }
 
 
-@pytest.mark.parametrize("corpus,window,bus", sorted(LEAKAGE_PINS))
-def test_leakage_golden(corpus, window, bus, request, canonical_cfg):
+@pytest.mark.parametrize(
+    "corpus,window", sorted(LEAKAGE_PINS), ids=[f"{c}-{w}-True" for c, w in sorted(LEAKAGE_PINS)]
+)
+def test_leakage_golden(corpus, window, request, canonical_cfg):
     linked = request.getfixturevalue(f"linked_{corpus}")
     cfg = canonical_cfg if corpus == "dpl" else None
     win = {"whole": (0, None), "fixed": (5, 300)}.get(window)
     if win is None:
         win = request.getfixturevalue(f"sbox_window_{corpus[0]}")
-    assert _pin_leakage(linked, cfg, win, bus) == LEAKAGE_PINS[corpus, window, bus]
+    assert _pin_leakage(linked, cfg, win) == LEAKAGE_PINS[corpus, window]

@@ -7,6 +7,7 @@ from collections import Counter, defaultdict
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from dualrail.asm import parse, resolve
@@ -20,6 +21,7 @@ from dualrail.verifier import (
     symbolic_init,
     verify,
 )
+from dualrail.vector_machine import batch_run
 
 CANON = DplConfig()
 
@@ -98,6 +100,20 @@ def test_sensitive_branch_rejected():
     src = ";@sensitive r4\nbeq r4 #1 end\nmov r5 #1\nend: nop\n"
     with pytest.raises(SensitiveBranchError):
         _verify_src(src)
+
+
+@pytest.mark.parametrize("branch, cycles", [
+    ("beq r4 r4", 2),  # taken in every run
+    ("bne r4 r4", 3),  # taken in none
+    ("beq r4 #5", 3),  # r4 is 0 or 1: never 5
+])
+def test_branch_of_one_outcome_is_not_sensitive(branch, cycles):
+    lp = resolve(parse(f";@sensitive r4\n{branch} end\nmov r5 #1\nend: nop\n"))
+    rep = verify(lp)
+    assert (rep.verdict, rep.findings, rep.cycles_verified) == ("balanced", [], cycles)
+    regs = np.zeros((lp.n_regs, 2), dtype=np.uint8)
+    regs[4] = [0, 1]
+    assert batch_run(lp, 2, init_registers=regs).cycles == cycles
 
 
 def test_branch_on_public_counter_ok():
@@ -186,6 +202,17 @@ def test_cross_validate_fails_on_leaky_program():
     res = cross_validate(lp, n_pairs=20, seed=1)
     assert not res.passed
     assert res.first_diff_cycle is not None
+
+
+def test_leak_on_the_address_bus_alone():
+    # r1 holds a rail encoding, of one weight either way; the address it
+    # indexes does not, and the cell it reads holds 0 either way
+    cfg = DplConfig(lut_base=768)
+    lp = resolve(parse(";@sensitive @10\nmov r1 @10\nmov r2 !r1,3\n"))
+    rep = verify(lp, cfg=cfg)
+    assert [(f.index, f.kind, f.location) for f in rep.findings] == [(1, "addr_bus", "abus")]
+    xv = cross_validate(lp, n_pairs=20, cfg=cfg)
+    assert (xv.passed, xv.first_diff_cycle) == (False, 1)
 
 
 def test_cross_validate_no_sensitive_cells():
