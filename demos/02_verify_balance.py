@@ -15,7 +15,6 @@ from dualrail import (
     parse,
     present_program,
     resolve,
-    symbolic_init,
     transform,
     verify,
 )
@@ -23,7 +22,7 @@ from dualrail import (
 # -- a single unprotected gate leaks ----------------------------------------
 
 gate = resolve(parse(";@sensitive @100-101\n;@output @102\nand @102 @100 @101\n"))
-report = verify(gate, init=symbolic_init(gate))
+report = verify(gate)
 print("unprotected gate verdict:", report.verdict)
 for f in report.findings:
     observed = sorted(f.hw_set if "bus" in f.kind else f.hd_set)
@@ -38,7 +37,7 @@ print("  witness (two executions an attacker can tell apart):", report.findings[
 cfg = DplConfig()
 balanced, _ = transform(parse(";@sensitive @100-101\n;@output @102\nand @102 @100 @101\n"), cfg)
 lb = resolve(balanced)
-report = verify(lb, init=symbolic_init(lb, cfg), cfg=cfg)
+report = verify(lb, cfg=cfg)
 print("\nbalanced gate verdict:", report.verdict, f"({report.cycles_verified} cycles checked)")
 
 # -- the full cipher, both ways ---------------------------------------------
@@ -47,7 +46,7 @@ print("\nfull PRESENT-80 corpus:")
 src = parse(present_program(0))
 linked = resolve(src)
 t0 = time.perf_counter()
-rep_u = verify(linked, init=symbolic_init(linked))
+rep_u = verify(linked)
 t1 = time.perf_counter()
 print(
     f"  unprotected: {rep_u.verdict}, {len(rep_u.findings)} distinct leaking "
@@ -58,7 +57,7 @@ cfg = DplConfig(lut_base=768)
 dpl, _ = transform(src, cfg)
 ld = resolve(dpl)
 t0 = time.perf_counter()
-rep_d = verify(ld, init=symbolic_init(ld, cfg), cfg=cfg)
+rep_d = verify(ld, cfg=cfg)
 t1 = time.perf_counter()
 print(
     f"  dual-rail:   {rep_d.verdict}, {len(rep_d.findings)} findings, "

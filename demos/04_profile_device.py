@@ -11,8 +11,9 @@ is breakable while the recommended pair resists.
 from dualrail import (
     DplConfig,
     LeakModel,
-    build_corpus,
     loop_iteration_window,
+    parse,
+    present_program,
     profile_bits,
     resolve,
     success_rate,
@@ -26,9 +27,7 @@ device = LeakModel(weights=(3.0,) + (1.0,) * 7, noise_sigma=2.0)
 
 # -- profile: run each single-bit cipher variant and score its leak ---------
 
-entries = build_corpus()  # one bitsliced variant per bit position
-programs = [resolve(e.program) for e in entries]
-prof = profile_bits(programs, device, n=256, seed=0)
+prof = profile_bits(device, n=256, seed=0)  # one bitsliced variant per bit position
 
 print("per-bit leakage scores (max NICV over one S-box iteration):")
 for bit, score in enumerate(prof.scores):
@@ -41,11 +40,10 @@ print(f"\nrecommended rail pair: {prof.recommended} "
 
 print("\nCPA success at n=200 traces on this device (50 attacks):")
 for label, cfg in [
-    ("naive pair {0,1}      ", DplConfig(bit_f=1, bit_t=0, pattern_lo=0, lut_base=768)),
-    ("recommended pair {1,2}", DplConfig(bit_f=2, bit_t=1, pattern_lo=1, lut_base=768)),
+    ("naive pair {0,1}      ", DplConfig(bit_f=1, bit_t=0, lut_base=768)),
+    ("recommended pair {1,2}", DplConfig(bit_f=2, bit_t=1, lut_base=768)),
 ]:
-    entry = entries[0]
-    prog, _ = transform(entry.program, cfg)
+    prog, _ = transform(parse(present_program(0)), cfg)
     lp = resolve(prog)
     win = loop_iteration_window(lp, "sbx")
     curve = success_rate(lp, KEY, device, [200], attacks_per_point=50,

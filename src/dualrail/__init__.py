@@ -58,7 +58,6 @@ from .dpl import (
     TransformReport,
     expand_macro,
     gen_luts,
-    lut_span,
     rewrite_not,
     transform,
 )
@@ -93,8 +92,6 @@ from .machine import (
     write_events_csv,
 )
 from .present import (
-    CorpusEntry,
-    build_corpus,
     corpus_init,
     first_round_subkey_nibble,
     load_test_vectors,
@@ -126,7 +123,6 @@ __all__ = [
     "BalanceReport",
     "BatchResult",
     "BitProfile",
-    "CorpusEntry",
     "DEFAULT_NOISE_SIGMA",
     "DplConfig",
     "DplStateMap",
@@ -157,7 +153,6 @@ __all__ = [
     "TransformReport",
     "VerifierError",
     "batch_run",
-    "build_corpus",
     "check",
     "corpus_init",
     "cpa_monobit",
@@ -169,7 +164,6 @@ __all__ = [
     "load_test_vectors",
     "load_traces",
     "loop_iteration_window",
-    "lut_span",
     "make_test_vectors",
     "nibble_classifier",
     "nicv",

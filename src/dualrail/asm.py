@@ -14,8 +14,9 @@ Operands:
 
 Branch targets are labels or ``#`` absolute instruction indices.
 
-The machine model is defined here once: a ``WORD_BITS``-bit word and 1 to
-``MAX_CELLS`` registers and memory cells, bounds that ``resolve`` enforces.
+The machine model is defined here once: a ``WORD_BITS``-bit word, 1 to
+``MAX_CELLS`` registers and memory cells, bounds that ``resolve`` enforces,
+and ``MAX_STEPS``, the steps after which every engine gives up on a run.
 """
 from __future__ import annotations
 
@@ -29,6 +30,9 @@ WORD_BITS = 8
 WORD_MASK = (1 << WORD_BITS) - 1
 #: the most registers or memory cells a machine has: addresses fit 16 bits
 MAX_CELLS = 1 << 16
+#: steps after which an engine stops a program that has not halted: about
+#: 30 times the longest corpus run (168,251 cycles for DPL PRESENT)
+MAX_STEPS = 5_000_000
 #: Hamming weight of every data value and address
 HW = [i.bit_count() for i in range(MAX_CELLS)]
 

@@ -21,7 +21,8 @@ stage adds ``{"<stage>": {"error": "..."}}`` to the report.  The exit
 code depends only on the stage that failed (``EXIT_CODES``): 0 success,
 1 usage (a bad command line) or parse error, 2 transform error, 3 verify
 (not balanced, or it could not run), 4 simulate or lab failure, 5
-equivalence failure.  ``-h`` prints help and exits 0.
+equivalence failure.  ``-h`` prints help and exits 0.  A reader that
+closes stdout before the report is written leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -54,7 +56,6 @@ from .machine import MachineError, run, write_events_csv
 from .present import (
     LABEL_ROUND,
     LABEL_SBOX,
-    build_corpus,
     first_round_subkey_nibble,
     loop_iteration_window,
 )
@@ -140,9 +141,6 @@ def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
                     help="bit position of the false rail (default 1)")
     ap.add_argument("-bt", type=int, default=0, metavar="N",
                     help="bit position of the true rail (default 0)")
-    ap.add_argument("-po", type=int, default=0, metavar="N",
-                    help="least significant bit of the rail pattern field "
-                         "(default 0, must equal min(-bf, -bt))")
     ap.add_argument("-cl", action="store_true",
                     help="compact the operator tables (overlap their zero entries)")
     ap.add_argument("-la", type=int, default=None, metavar="ADDR",
@@ -179,7 +177,6 @@ def _config_from(args) -> DplConfig:
     cfg = DplConfig(
         bit_f=args.bf,
         bit_t=args.bt,
-        pattern_lo=args.po,
         lut_base=args.la or 0,
         compact=args.cl,
         scratch=(args.r1, args.r2, args.r3),
@@ -323,7 +320,7 @@ def _stage_verify(program, args, report: dict) -> None:
 
 @_stage("simulate")
 def _stage_simulate(program, args, report: dict) -> None:
-    result = run(_resolve(program, args), max_steps=5_000_000)
+    result = run(_resolve(program, args))
     final = result.final_state
     sim = {"cycles": final.cycle, "instructions_executed": result.instruction_count}
     if args.M:
@@ -555,8 +552,7 @@ def _lab_success_rate(args, report: dict) -> None:
 
 def _lab_profile(args, report: dict) -> None:
     model = LeakModel(weights=_parse_weights(args.weights), noise_sigma=args.sigma)
-    programs = [resolve(e.program) for e in build_corpus()]
-    prof = profile_bits(programs, model, n=args.n, seed=args.seed)
+    prof = profile_bits(model, n=args.n, seed=args.seed)
     bf, bt = prof.recommended_rails
     report["profile"] = {
         "scores": [float(s) for s in prof.scores],
@@ -605,7 +601,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         report.setdefault(exc.stage, {})["error"] = str(exc)
         code = EXIT_CODES[exc.stage]
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send the interpreter's final flush to
+        # devnull, so it raises no second BrokenPipeError at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

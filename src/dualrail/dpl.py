@@ -31,6 +31,9 @@ from .asm import (
 
 PROLOGUE_TAG = "prologue"
 
+#: the register the prologue zeroes and every precharge copies from
+ZERO_REG = 0
+
 EXPAND = "expand"
 REWRITE_NOT = "rewrite_not"
 KEEP = "keep"
@@ -44,24 +47,28 @@ class TransformError(ValueError):
 class DplConfig:
     """Encoding layout and transformer resources.
 
-    bit_f/bit_t: rail bit indices (False/True).  pattern_lo: least
-    significant bit of the 4-bit LUT index field; must equal min(bit_f,
-    bit_t).  scratch: the three macro registers (index, loaded value,
-    fetched result roles); zero_reg is kept at zero and used for precharge.
+    bit_f/bit_t: rail bit indices (False/True).  lut_base: address of the
+    first operator table.  compact: interleave the tables on the free low
+    index bits.  scratch: the three macro registers (index, loaded value,
+    fetched result roles); ``ZERO_REG`` is kept at zero for precharge.
     """
 
     bit_f: int = 1
     bit_t: int = 0
-    pattern_lo: int = 0
     lut_base: int = 0
     compact: bool = False
     scratch: tuple[int, int, int] = (20, 21, 22)
-    zero_reg: int = 0
 
     @cached_property
     def reserved(self) -> frozenset[int]:
         """The registers the macros own: scratch and zero register."""
-        return frozenset((*self.scratch, self.zero_reg))
+        return frozenset((*self.scratch, ZERO_REG))
+
+    @property
+    def pattern_lo(self) -> int:
+        """Least significant bit of the packed table index field: the lower
+        rail, where operand b's encoding starts."""
+        return min(self.bit_f, self.bit_t)
 
     @property
     def span(self) -> int:
@@ -104,19 +111,14 @@ class DplConfig:
                 f"packed index field [{self.pattern_lo},{self.pattern_lo + 2 * self.span})"
                 f" does not fit a {WORD_BITS}-bit index register"
             )
-        if self.pattern_lo != min(self.bit_f, self.bit_t):
-            raise TransformError(
-                f"pattern offset {self.pattern_lo} inconsistent with rails "
-                f"{{{self.bit_f},{self.bit_t}}}"
-            )
         if self.lut_base & self.field_mask:
             raise TransformError(f"table base {self.lut_base} misaligned for the index field")
         if self.compact and self.pattern_lo == 0:
-            raise TransformError("compact tables need a nonzero pattern offset")
+            raise TransformError("compact tables need both rails above bit 0")
         if len(self.reserved) != 4:
             raise TransformError("scratch registers and zero register must be distinct")
         if min(self.reserved) < 0:
-            raise TransformError(f"negative register in scratch {self.scratch} or zero register {self.zero_reg}")
+            raise TransformError(f"negative register in scratch {self.scratch}")
 
     def encode(self, bit: int) -> int:
         if bit not in (0, 1):
@@ -204,14 +206,6 @@ def gen_luts(cfg: DplConfig, ops_used) -> tuple[list[LutSpec], list[Instruction]
         for addr in range(lo, lo + cfg.region_size):
             stores.append(Instruction("mov", (MemDirect(addr), Immediate(covered.get(addr, 0)))))
     return specs, stores
-
-
-def lut_span(cfg: DplConfig, n_ops: int = 3) -> int:
-    """Total reserved table bytes for n_ops tables under cfg."""
-    if n_ops == 0:
-        return 0
-    regions = -(-n_ops // cfg.tables_per_region)
-    return regions * cfg.region_size
 
 
 def classify(p: Program) -> tuple[dict[int, str], list[str]]:
@@ -302,7 +296,7 @@ def _macro_frame(cfg: DplConfig, opcode: str):
     """The operand-independent runs of expand_macro's output: built once
     per (cfg, opcode) and shared by every macro (instructions are frozen)."""
     r1, r2, r3 = (Register(i) for i in cfg.scratch)
-    r0 = Register(cfg.zero_reg)
+    r0 = Register(ZERO_REG)
     mask = Immediate(cfg.mask)
     precharge = Instruction("mov", (r1, r0))
     pack_a = (
@@ -327,7 +321,7 @@ def expand_macro(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
         raise TransformError(f"cannot expand {inst.opcode}")
     d, a, b = inst.operands
     r1, r2, r3 = (Register(i) for i in cfg.scratch)
-    r0 = Register(cfg.zero_reg)
+    r0 = Register(ZERO_REG)
     for op, what in ((d, "destination"), (a, "operand"), (b, "operand")):
         _scratch_free(op, cfg, what)
     precharge, pack_a, fetch = _macro_frame(cfg, inst.opcode)
@@ -349,7 +343,7 @@ def rewrite_not(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     one bit; a literal operand folds to a plain encoded store."""
     d, v = inst.operands
     r1 = Register(cfg.scratch[0])
-    r0 = Register(cfg.zero_reg)
+    r0 = Register(ZERO_REG)
     _scratch_free(d, cfg, "destination")
     _scratch_free(v, cfg, "operand")
     if isinstance(v, Immediate):
@@ -436,7 +430,7 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
                 f"overlap program cells {sorted(overlap)[:8]}"
             )
 
-    out_lines = [Line(None, Instruction("mov", (Register(cfg.zero_reg), Immediate(0))), PROLOGUE_TAG)]
+    out_lines = [Line(None, Instruction("mov", (Register(ZERO_REG), Immediate(0))), PROLOGUE_TAG)]
     out_lines += [Line(None, s, PROLOGUE_TAG) for s in stores]
 
     expanded = skipped = 0

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asm import WORD_BITS, LinkedProgram
+from .asm import WORD_BITS, LinkedProgram, parse, resolve
 from .present import (
     SBOX,
     LABEL_SBOX,
     corpus_init,
     first_round_subkey_nibble,
     loop_iteration_window,
+    present_program,
 )
 from .vector_machine import batch_run
 
@@ -388,30 +389,22 @@ class BitProfile:
         return (hi, lo)
 
 
-def profile_bits(
-    programs,
-    model: LeakModel,
-    n: int = 256,
-    seed=0,
-    *,
-    target: int = 0,
-) -> BitProfile:
-    """Score each bit line by running its single-bit program variant and
-    taking the maximum NICV (class = plaintext nibble) over one S-box
-    iteration.  Recommends the admissible rail pair whose two scores are
-    closest — balanced rails need equally-leaking bit lines.  Scores
-    within 3/sqrt(n), the estimator's statistical noise, count as equal,
-    and the lowest such pair wins, so the recommendation is deterministic
-    rather than chasing sampling fluctuations."""
-    programs = list(programs)
-    if len(programs) < 2:
-        raise LabError("need at least two bit-line variants to recommend a pair")
-    classify = nibble_classifier(target)
+def profile_bits(model: LeakModel, n: int = 256, seed=0) -> BitProfile:
+    """Score each bit line by running the corpus variant that keeps the
+    cipher state on it (``present_program(slot)``) and taking the maximum
+    NICV (class = plaintext nibble 0) over one S-box iteration.
+    Recommends the admissible rail pair whose two scores are closest —
+    balanced rails need equally-leaking bit lines.  Scores within
+    3/sqrt(n), the estimator's statistical noise, count as equal, and the
+    lowest such pair wins, so the recommendation is deterministic rather
+    than chasing sampling fluctuations."""
+    classify = nibble_classifier(0)
     root = np.random.SeedSequence(seed)
     key_rng = np.random.default_rng(root)
     key = int(key_rng.integers(0, 1 << 62)) | (int(key_rng.integers(0, 1 << 62)) << 18)
-    scores = np.zeros(len(programs))
-    for slot, prog in enumerate(programs):
+    scores = np.zeros(WORD_BITS)
+    for slot in range(WORD_BITS):
+        prog = resolve(parse(present_program(slot)))
         win = loop_iteration_window(prog, LABEL_SBOX)
         ts = synth_traces(
             prog,
@@ -424,18 +417,15 @@ def profile_bits(
         )
         scores[slot] = float(nicv(ts, classify).max())
     ranking = tuple(int(i) for i in np.argsort(-scores, kind="stable"))
-    candidates = [(lo, hi) for lo, hi in ADMISSIBLE_PAIRS if hi < len(programs)]
-    if not candidates:
-        raise LabError("fewer than 2 admissible bits")
     tol = 3.0 / np.sqrt(n)
-    diffs = [abs(scores[lo] - scores[hi]) for lo, hi in candidates]
+    diffs = [abs(scores[lo] - scores[hi]) for lo, hi in ADMISSIBLE_PAIRS]
     recommended = None
-    for pair, d in zip(candidates, diffs):
+    for pair, d in zip(ADMISSIBLE_PAIRS, diffs):
         if d <= tol:
             recommended = pair
             break
     if recommended is None:
-        recommended = candidates[int(np.argmin(diffs))]
+        recommended = ADMISSIBLE_PAIRS[int(np.argmin(diffs))]
     return BitProfile(scores=scores, ranking=ranking, recommended=recommended)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asm import HW, OPS, WORD_BITS, WORD_MASK, Immediate, LinkedProgram, MemDirect, Register
+from .asm import HW, MAX_STEPS, OPS, WORD_BITS, WORD_MASK, Immediate, LinkedProgram, MemDirect, Register
 
 REG_UPDATE = "reg_update"
 MEM_UPDATE = "mem_update"
@@ -151,7 +151,7 @@ def step(state: MachineState, program: LinkedProgram) -> list[LeakageEvent]:
 def run(
     program: LinkedProgram,
     init: MachineState | None = None,
-    max_steps: int = 1_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> RunResult:
     """Run to halt (pc past the last instruction) or max_steps.
 

@@ -19,13 +19,12 @@ implementation used to check the corpus and to generate test vectors.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .asm import LOGICAL_OPS, WORD_BITS, LinkedProgram, Program, parse, print_program
-from .machine import MachineState, step
+from .asm import MAX_STEPS, WORD_BITS, LinkedProgram, parse, print_program
+from .machine import MachineState, StepLimitExceeded, step
 
 MASK64 = (1 << 64) - 1
 MASK80 = (1 << 80) - 1
@@ -229,46 +228,6 @@ def present_program(slot: int = 0) -> str:
     return "\n".join(L) + "\n"
 
 
-# -- corpus entries ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    source: str
-    sensitive: tuple
-    outputs: tuple
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def program(self) -> Program:
-        return parse(self.source)
-
-
-def build_corpus(slots=range(WORD_BITS)) -> list[CorpusEntry]:
-    """One entry per bit-position variant; entry 0 is the canonical corpus."""
-    entries = []
-    for slot in slots:
-        src = present_program(slot)
-        prog = parse(src)
-        n_gates = sum(1 for i in prog.instructions if i.opcode in LOGICAL_OPS)
-        entries.append(
-            CorpusEntry(
-                name=f"present80-b{slot}",
-                source=src,
-                sensitive=tuple(prog.declared_cells("sensitive")),
-                outputs=tuple(prog.declared_cells("output")),
-                metadata={
-                    "cipher": "PRESENT-80",
-                    "slot": slot,
-                    "instructions": len(prog.instructions),
-                    "logical_ops": n_gates,
-                },
-            )
-        )
-    return entries
-
-
 # -- batch input/output packing ---------------------------------------------
 
 
@@ -339,27 +298,29 @@ def read_ciphertexts(memory: np.ndarray, *, slot: int = 0, cfg=None) -> np.ndarr
 # -- trace-window location --------------------------------------------------
 
 
-def loop_iteration_window(linked: LinkedProgram, label: str, occurrence: int = 0) -> tuple[int, int]:
-    """Cycle window [start, stop) spanning one iteration of the loop whose
-    head carries `label`: the (occurrence+1)-th arrival at the label up to
-    the next arrival.  Control flow is input-independent, so the window is
-    valid for every run."""
+def loop_iteration_window(linked: LinkedProgram, label: str) -> tuple[int, int]:
+    """Cycle window [start, stop) spanning the first iteration of the loop
+    whose head carries `label`: the first arrival at the label up to the
+    second.  Control flow is input-independent, so the window is valid for
+    every run.  Raises KeyError for an unknown label, ValueError when the
+    program halts before the second arrival and StepLimitExceeded when
+    MAX_STEPS cycles pass without it."""
     if linked.source is None or label not in linked.source.label_table:
         raise KeyError(f"no label {label!r} in program")
     idx = linked.source.label_table[label]
     state = MachineState.fresh(linked.n_regs, linked.mem_size)
     hits: list[int] = []
     n = len(linked.instructions)
-    while state.pc < n and state.cycle < 5_000_000:
+    while state.pc < n and state.cycle < MAX_STEPS:
         if state.pc == idx:
             hits.append(state.cycle)
-            if len(hits) >= occurrence + 2:
-                return hits[occurrence], hits[occurrence + 1]
+            if len(hits) == 2:
+                return hits[0], hits[1]
         step(state, linked)
-    raise ValueError(
-        f"label {label!r} reached {len(hits)} time(s); "
-        f"need {occurrence + 2} arrivals for a full iteration"
-    )
+    reached = f"label {label!r} reached {len(hits)} time(s)"
+    if state.pc < n:
+        raise StepLimitExceeded(f"{reached} in the step limit of {MAX_STEPS}; need 2 arrivals")
+    raise ValueError(f"{reached}; need 2 arrivals for a full iteration")
 
 
 # -- test vectors -----------------------------------------------------------
@@ -378,12 +339,11 @@ def make_test_vectors() -> list[tuple[int, int, int]]:
     return vecs
 
 
-def write_test_vectors(path, vectors=None) -> None:
-    vectors = make_test_vectors() if vectors is None else vectors
+def write_test_vectors(path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["plaintext", "key", "ciphertext"])
-        for p, k, c in vectors:
+        for p, k, c in make_test_vectors():
             w.writerow([f"{p:016X}", f"{k:020X}", f"{c:016X}"])
 
 

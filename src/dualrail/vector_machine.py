@@ -56,7 +56,7 @@ from itertools import chain
 
 import numpy as np
 
-from .asm import OPS, WORD_MASK, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
+from .asm import MAX_STEPS, OPS, WORD_MASK, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
 from .machine import MachineError, StepLimitExceeded, weight_tables
 
 #: bytes of one recording block: per slot and lane a data byte, a flat
@@ -563,7 +563,7 @@ def batch_run(
     weights=None,
     include_bus: bool = True,
     window: tuple[int, int | None] = (0, None),
-    max_steps: int = 50_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> BatchResult:
     """Run n_runs instances of the program in lockstep.
 

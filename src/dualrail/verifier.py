@@ -24,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .asm import HW, OPS, WORD_BITS, WORD_MASK, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
+from .asm import HW, MAX_STEPS, OPS, WORD_BITS, WORD_MASK, Immediate, LinkedProgram, MemDirect, MemIndirect, Register
 from .dpl import DplConfig
 from .equivalence import _init_arrays, _random_bits
 from .vector_machine import batch_run
@@ -354,7 +354,7 @@ def _nothing(cells):
 def verify(
     program: LinkedProgram,
     init: SymbolicState | None = None,
-    max_steps: int = 2_000_000,
+    max_steps: int = MAX_STEPS,
     cap: int = 16,
     cfg: DplConfig | None = None,
 ) -> BalanceReport:
@@ -450,7 +450,7 @@ def cross_validate(
     inputs must yield identical per-cycle leakage under uniform weights.
 
     All 2*n_pairs runs are one batch_run; lanes 2p and 2p+1 are pair p.
-    Raises StepLimitExceeded if the program does not halt within 2M steps,
+    Raises StepLimitExceeded if the program does not halt within MAX_STEPS,
     and NonConstantTimeError if its control flow depends on the inputs.
     """
     if program.source is None or n_pairs <= 0:
@@ -464,7 +464,6 @@ def cross_validate(
         init_memory=mem,
         init_registers=regs,
         weights=[1.0] * WORD_BITS,
-        max_steps=2_000_000,
     )
     diff = res.leakage[:, 0::2] != res.leakage[:, 1::2]  # (cycles, n_pairs)
     failing = np.flatnonzero(diff.any(axis=0))

@@ -24,7 +24,7 @@ from dualrail.asm import (
     parse,
     resolve,
 )
-from dualrail.dpl import DplConfig, gen_luts, transform
+from dualrail.dpl import ZERO_REG, DplConfig, gen_luts, transform
 from dualrail.lab import (
     DEFAULT_NOISE_SIGMA,
     LeakModel,
@@ -36,7 +36,6 @@ from dualrail.lab import (
 )
 from dualrail.machine import MachineState, cycle_leakage, run, step
 from dualrail.present import (
-    build_corpus,
     corpus_init,
     loop_iteration_window,
     read_ciphertexts,
@@ -70,7 +69,7 @@ def test_criterion_01_golden_macro():
     t0 = time.perf_counter()
     cfg, _out, macro = _gate_build()
     r1, r2, r3 = (Register(n) for n in cfg.scratch)
-    r0 = Register(cfg.zero_reg)
+    r0 = Register(ZERO_REG)
     a, b, d = MemDirect(100), MemDirect(101), MemDirect(102)
     golden = [
         Instruction("mov", (r1, r0)),
@@ -309,14 +308,13 @@ def test_criterion_08_nicv_properties(
 
 def test_criterion_09_profile_guides_rails(unprotected_src):
     model = LeakModel(weights=(3.0,) + (1.0,) * 7, noise_sigma=2.0)
-    programs = [resolve(e.program) for e in build_corpus()]
-    prof = profile_bits(programs, model, n=256, seed=0)
+    prof = profile_bits(model, n=256, seed=0)
     recommended = prof.recommended
 
     rates = {}
     for label, cfg in [
-        ((0, 1), DplConfig(bit_f=1, bit_t=0, pattern_lo=0, lut_base=768)),
-        ((1, 2), DplConfig(bit_f=2, bit_t=1, pattern_lo=1, lut_base=768)),
+        ((0, 1), DplConfig(bit_f=1, bit_t=0, lut_base=768)),
+        ((1, 2), DplConfig(bit_f=2, bit_t=1, lut_base=768)),
     ]:
         prog, _ = transform(unprotected_src, cfg)
         lp = resolve(prog)

@@ -1,12 +1,16 @@
 """Command-line interface tests, run in-process via cli.main(argv)."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualrail import cli
+from dualrail import cli, present
 from dualrail.lab import TraceSet, save_traces
 
 GATE = ";@sensitive @100-101\n;@output @102\nand @102 @100 @101\n"
@@ -89,10 +93,25 @@ def test_transform_then_verify_balanced(capsys, gate_file):
 
 def test_custom_layout_flags(capsys, gate_file):
     code, rep = _run(
-        capsys, ["-d", "-v", "-bf", "2", "-bt", "1", "-po", "1", "-cl", gate_file]
+        capsys, ["-d", "-v", "-bf", "2", "-bt", "1", "-cl", gate_file]
     )
     assert code == cli.EXIT_OK
     assert rep["verify"]["verdict"] == "balanced"
+
+
+def test_closed_stdout_keeps_the_exit_code(gate_file):
+    # the reader is gone before the report is written: no traceback, and
+    # the exit code is the stage's own
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        for argv, want in ((["-l", gate_file], cli.EXIT_OK), (["-v", gate_file], cli.EXIT_LEAKY)):
+            proc = subprocess.run([sys.executable, "-m", "dualrail.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env)
+            assert (proc.returncode, proc.stderr) == (want, b"")
+    finally:
+        os.close(write_end)
 
 
 def test_inadmissible_layout_rejected(capsys, gate_file):
@@ -269,6 +288,18 @@ def test_lab_window_label_missing(capsys, gate_file, tmp_path):
     assert "no label 'sbx'" in rep["lab"]["error"]
 
 
+def test_lab_window_past_the_step_limit(capsys, tmp_path, monkeypatch):
+    # the S-box label is reached once before the program spins forever
+    monkeypatch.setattr(present, "MAX_STEPS", 100)
+    p = tmp_path / "spin.asm"
+    p.write_text("sbx: nop\ntop: jmp top\n")
+    code, rep = _run(capsys, ["lab", "traces", str(p), "-o", str(tmp_path / "t.bin"),
+                              "-n", "2", "-window", "sbox"])
+    assert code == cli.EXIT_SIMULATE
+    assert "in the step limit of 100" in rep["lab"]["error"]
+    assert not (tmp_path / "t.bin").exists()
+
+
 def test_lab_success_rate_zero_traces(capsys):
     code, rep = _run(capsys, ["lab", "success-rate", "corpus/present80.asm", "-grid", "0",
                               "-window", "sbox"])
@@ -325,6 +356,9 @@ FAILURES = [
     pytest.param(["lab", "nicv", "-i", "huge.bin", "-nibble", "x"], "usage", id="lab-bad-value"),
     pytest.param(["lab", "profile", "--bogus"], "usage", id="lab-unknown-flag"),
     pytest.param(["lab", "traces", "-o", "t.bin"], "usage", id="lab-missing-file"),
+    # the table index field starts at the lower rail: there is no offset flag
+    pytest.param(["-d", "-bf", "2", "-bt", "1", "-po", "1", "gate.asm"], "usage",
+                 id="pattern-offset-flag"),
     # numeric flags out of range
     pytest.param(["-s", "-m", "-3", "regs.asm"], "usage", id="memory-size-negative"),
     pytest.param(["-s", "-m", "100000000000", "regs.asm"], "usage", id="memory-size-huge"),
@@ -350,7 +384,7 @@ FAILURES = [
     pytest.param(["lab", "cpa", "-i", "wide.bin"], "lab", id="cpa-trace-of-16-bit-words"),
     # one library error per pipeline stage
     pytest.param(["-l", "leadzero.asm"], "parse", id="parse-leading-zero"),
-    pytest.param(["-d", "-bf", "-1", "-bt", "-2", "-po", "-2", "gate.asm"], "transform",
+    pytest.param(["-d", "-bf", "-1", "-bt", "-2", "gate.asm"], "transform",
                  id="transform-negative-rails"),
     pytest.param(["-v", "out5000.asm"], "verify", id="verify-output-cell-out-of-range"),
     pytest.param(["-s", "r40.asm"], "simulate", id="simulate-sensitive-register-out-of-range"),

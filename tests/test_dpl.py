@@ -8,10 +8,10 @@ from dualrail.asm import Immediate, MemDirect, parse, print_program
 from dualrail.dpl import (
     DplConfig,
     PROLOGUE_TAG,
+    ZERO_REG,
     TransformError,
     expand_macro,
     gen_luts,
-    lut_span,
     place_tables,
     rewrite_not,
     transform,
@@ -32,7 +32,7 @@ ADMISSIBLE = [(f, t) for f in range(8) for t in range(8)
 
 
 def _cfg(f, t, **kw):
-    return DplConfig(bit_f=f, bit_t=t, pattern_lo=min(f, t), **kw)
+    return DplConfig(bit_f=f, bit_t=t, **kw)
 
 
 # -- configuration ----------------------------------------------------------
@@ -54,6 +54,7 @@ def test_high_layouts_rejected():
 
 
 def test_all_layouts_validate():
+    # the table index field starts at the lower rail: no layout sets it
     for f, t in ADMISSIBLE:
         _cfg(f, t).validate()
 
@@ -61,15 +62,15 @@ def test_all_layouts_validate():
 @pytest.mark.parametrize(
     "kw",
     [
-        dict(bit_f=1, bit_t=1, pattern_lo=1),  # equal rails
-        dict(bit_f=4, bit_t=0, pattern_lo=0),  # span too wide
-        dict(bit_f=1, bit_t=0, pattern_lo=1),  # inconsistent offset
-        dict(bit_f=1, bit_t=0, pattern_lo=0, lut_base=3),  # misaligned base
-        dict(bit_f=1, bit_t=0, pattern_lo=0, compact=True),  # compact needs lo>0
-        dict(bit_f=1, bit_t=0, pattern_lo=0, scratch=(20, 20, 22)),  # dup scratch
-        dict(bit_f=8, bit_t=7, pattern_lo=7),  # outside word
-        dict(bit_f=1, bit_t=0, pattern_lo=0, scratch=(-1, 21, 22)),  # negative scratch
-        dict(bit_f=1, bit_t=0, pattern_lo=0, zero_reg=-1),  # negative zero register
+        dict(bit_f=1, bit_t=1),  # equal rails
+        dict(bit_f=4, bit_t=0),  # span too wide
+        dict(bit_f=0, bit_t=-1),  # rail below the word
+        dict(bit_f=1, bit_t=0, lut_base=3),  # misaligned base
+        dict(bit_f=1, bit_t=0, compact=True),  # compact needs lower rail > 0
+        dict(bit_f=1, bit_t=0, scratch=(20, 20, 22)),  # dup scratch
+        dict(bit_f=8, bit_t=7),  # outside word
+        dict(bit_f=1, bit_t=0, scratch=(-1, 21, 22)),  # negative scratch
+        dict(bit_f=1, bit_t=0, scratch=(20, ZERO_REG, 22)),  # scratch on the zero register
     ],
 )
 def test_invalid_configs(kw):
@@ -148,10 +149,11 @@ def test_lut_region_per_used_op_only():
 
 
 def test_lut_spans():
-    assert lut_span(CANON, 3) == 48
-    assert lut_span(_cfg(2, 1), 3) == 96
-    assert lut_span(_cfg(2, 1, compact=True), 3) == 64
-    assert lut_span(_cfg(2, 0), 3) == 192
+    # the prologue stores every cell of each region the three tables use
+    assert len(gen_luts(CANON, ALL_OPS)[1]) == 48
+    assert len(gen_luts(_cfg(2, 1), ALL_OPS)[1]) == 96
+    assert len(gen_luts(_cfg(2, 1, compact=True), ALL_OPS)[1]) == 64
+    assert len(gen_luts(_cfg(2, 0), ALL_OPS)[1]) == 192
 
 
 def test_compact_interleaves_without_overlap():

@@ -36,7 +36,7 @@ def test_gate_with_not():
 
 
 def test_small_circuit_alternate_layout():
-    cfg = DplConfig(bit_f=2, bit_t=1, pattern_lo=1, lut_base=512)
+    cfg = DplConfig(bit_f=2, bit_t=1, lut_base=512)
     src = (
         ";@sensitive @100\n;@sensitive @101\n;@sensitive @103\n"
         ";@output @102\n"

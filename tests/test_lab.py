@@ -28,9 +28,9 @@ from dualrail.lab import (
 from dualrail.present import (
     LABEL_SBOX,
     SBOX,
-    build_corpus,
     first_round_subkey_nibble,
     loop_iteration_window,
+    present_program,
 )
 from dualrail.asm import WORD_BITS, parse, resolve
 
@@ -357,7 +357,7 @@ def test_success_rate_equals_per_attack_runs(
     """Packed campaigns give each attack the traces, scores and hit of
     synth_traces + cpa_monobit under that attack's own seed."""
     if case == "slot":
-        program = resolve(build_corpus()[2].program)
+        program = resolve(parse(present_program(2)))
         window, kw = loop_iteration_window(program, LABEL_SBOX), dict(slot=2)
     elif case == "dpl":
         program, window = request.getfixturevalue("linked_dpl"), request.getfixturevalue("sbox_window_d")
@@ -417,30 +417,20 @@ def test_admissible_pairs():
     assert all(0 <= lo < hi <= 7 for lo, hi in ADMISSIBLE_PAIRS)
 
 
-@pytest.fixture(scope="module")
-def corpus_programs():
-    return [resolve(e.program) for e in build_corpus()]
-
-
-def test_profile_uniform_device(corpus_programs):
-    prof = profile_bits(corpus_programs, LeakModel(noise_sigma=2.0), n=256, seed=0)
+def test_profile_uniform_device():
+    prof = profile_bits(LeakModel(noise_sigma=2.0), n=256, seed=0)
     assert prof.recommended == (0, 1)
     assert prof.recommended_rails == (1, 0)
     assert prof.scores.shape == (8,)
     assert sorted(prof.ranking) == list(range(8))
 
 
-def test_profile_outlier_bit_steers_recommendation(corpus_programs):
+def test_profile_outlier_bit_steers_recommendation():
     m = LeakModel(weights=(3.0,) + (1.0,) * 7, noise_sigma=2.0)
-    prof = profile_bits(corpus_programs, m, n=256, seed=0)
+    prof = profile_bits(m, n=256, seed=0)
     assert prof.ranking[0] == 0  # the heavy bit line leaks most
     assert prof.recommended == (1, 2)  # and is excluded from the rails
     assert prof.recommended_rails == (2, 1)
-
-
-def test_profile_needs_variants():
-    with pytest.raises(LabError):
-        profile_bits([], LeakModel())
 
 
 # -- trace file I/O ---------------------------------------------------------

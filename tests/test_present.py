@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from dualrail.asm import parse, print_program, resolve
+from dualrail import present
 from dualrail.dpl import DplConfig, transform
+from dualrail.machine import StepLimitExceeded
 from dualrail.present import (
     PERM,
     SBOX,
     SBOX_GATES,
     SBOX_IN,
     SBOX_OUT,
-    CorpusEntry,
-    build_corpus,
     corpus_init,
     first_round_subkey_nibble,
     load_test_vectors,
     loop_iteration_window,
+    present_program,
     read_ciphertexts,
     reference_encrypt,
     write_corpus_files,
@@ -73,17 +74,14 @@ def test_first_round_subkey_nibble():
 
 
 def test_corpus_entries_and_metadata():
-    entries = build_corpus()
-    assert [e.name for e in entries] == [f"present80-b{s}" for s in range(8)]
-    e0 = entries[0]
-    assert isinstance(e0, CorpusEntry)
-    assert set(e0.sensitive) == {("mem", c) for c in range(0, 144)}
-    assert set(e0.outputs) == {("mem", c) for c in range(456, 520)}
-    assert e0.metadata["slot"] == 0
-    assert 400 <= e0.metadata["instructions"] <= 900
-    assert e0.metadata["logical_ops"] > 0
+    variants = [parse(present_program(s)) for s in range(8)]
+    p0 = variants[0]
+    assert set(p0.declared_cells("sensitive")) == {("mem", c) for c in range(0, 144)}
+    assert set(p0.declared_cells("output")) == {("mem", c) for c in range(456, 520)}
+    assert 400 <= len(p0.instructions) <= 900
+    assert any(i.opcode in ("and", "orr", "xor") for i in p0.instructions)
     # all slot variants are the same length
-    assert len({e.metadata["instructions"] for e in entries}) == 1
+    assert len({len(p.instructions) for p in variants}) == 1
 
 
 def test_control_flow_is_input_independent(unprotected_src):
@@ -91,7 +89,7 @@ def test_control_flow_is_input_independent(unprotected_src):
     registers and cells derived only from constants."""
     from dualrail.asm import MemDirect, MemIndirect
 
-    sensitive = {c for (_k, c) in build_corpus(slots=[0])[0].sensitive}
+    sensitive = {c for (_k, c) in unprotected_src.declared_cells("sensitive")}
     for ins in unprotected_src.instructions:
         if ins.opcode in ("beq", "bne"):
             for op in ins.operands[:-1]:
@@ -115,7 +113,7 @@ def test_unprotected_corpus_matches_reference(linked_unprotected):
 
 
 def test_slot_variant_matches_reference():
-    src = resolve(build_corpus(slots=[5])[0].program)
+    src = resolve(parse(present_program(5)))
     pts = [0, 0x0123456789ABCDEF]
     key = 0xFFEE0123456789ABCDEF
     cts = _run_batch(src, pts, key, slot=5)
@@ -133,10 +131,8 @@ def test_dpl_corpus_matches_reference(linked_dpl, canonical_cfg):
 
 
 def test_loop_iteration_window(linked_unprotected):
-    lo, hi = loop_iteration_window(linked_unprotected, "sbx", occurrence=0)
+    lo, hi = loop_iteration_window(linked_unprotected, "sbx")
     assert 0 < lo < hi
-    lo1, hi1 = loop_iteration_window(linked_unprotected, "sbx", occurrence=1)
-    assert lo1 == hi and hi1 - lo1 == hi - lo
     with pytest.raises(KeyError):
         loop_iteration_window(linked_unprotected, "nonesuch")
 
@@ -145,8 +141,18 @@ def test_loop_iteration_window_needs_the_next_arrival():
     # the loop head is reached twice: one full iteration, not two
     lp = resolve(parse("mov r1 #0\ntop: add r1 r1 #1\nbne r1 #2 top\n"))
     assert loop_iteration_window(lp, "top") == (1, 3)
-    with pytest.raises(ValueError, match=r"reached 2 time\(s\); need 3 arrivals"):
-        loop_iteration_window(lp, "top", occurrence=1)
+    once = resolve(parse("mov r1 #0\ntop: add r1 r1 #1\n"))
+    with pytest.raises(ValueError, match=r"reached 1 time\(s\); need 2 arrivals"):
+        loop_iteration_window(once, "top")
+
+
+def test_loop_iteration_window_stops_at_the_step_limit(monkeypatch):
+    # the label is reached once, then the program spins: the walk gives up
+    # at MAX_STEPS and says so, instead of counting the arrivals
+    monkeypatch.setattr(present, "MAX_STEPS", 100)
+    lp = resolve(parse("mov r1 #0\nsbx: add r1 r1 #1\ntop: jmp top\n"))
+    with pytest.raises(StepLimitExceeded, match=r"reached 1 time\(s\) in the step limit of 100"):
+        loop_iteration_window(lp, "sbx")
 
 
 def test_written_corpus_round_trips(tmp_path):

@@ -2,6 +2,7 @@
 and concrete cross-validation."""
 
 import hashlib
+import inspect
 import json
 from collections import Counter, defaultdict
 from itertools import product
@@ -10,7 +11,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dualrail.asm import parse, resolve
+from dualrail import machine, vector_machine, verifier
+from dualrail.asm import MAX_STEPS, parse, resolve
 from dualrail.dpl import DplConfig, transform
 from dualrail.machine import MachineState, run
 from dualrail.verifier import (
@@ -133,7 +135,15 @@ def test_cap_exceeded_is_inconclusive():
 
 def test_step_limit_is_inconclusive():
     rep = _verify_src("top: jmp top\n", max_steps=64)
-    assert rep.verdict == "inconclusive"
+    assert (rep.verdict, rep.reason) == ("inconclusive", "step limit 64 reached")
+
+
+def test_one_step_limit_for_every_engine():
+    for fn in (machine.run, vector_machine.batch_run, verifier.verify):
+        assert inspect.signature(fn).parameters["max_steps"].default == MAX_STEPS
+    # a runaway loop at the default limit: a verdict, not a hang
+    rep = _verify_src("top: add r1 r1 #1\njmp top\n")
+    assert (rep.verdict, rep.reason) == ("inconclusive", f"step limit {MAX_STEPS} reached")
 
 
 def test_findings_merge_by_instruction():
