@@ -10,13 +10,14 @@ Operands:
     #N          immediate
     @N          direct memory cell
     !rN[,off]   indirect memory cell (base register plus constant offset)
-    !#N[,off]   indirect with immediate base
+    !#N[,off]   constant address: parsed as the direct cell @N+off
 
 Branch targets are labels or ``#`` absolute instruction indices.
 
 The machine model is defined here once: a ``WORD_BITS``-bit word, 1 to
-``MAX_CELLS`` registers and memory cells, bounds that ``resolve`` enforces,
-and ``MAX_STEPS``, the steps after which every engine gives up on a run.
+``MAX_CELLS`` registers and memory cells (``N_REGS`` and ``MEM_SIZE`` by
+default), bounds that ``resolve`` enforces, and ``MAX_STEPS``, the steps
+after which every engine gives up on a run.
 """
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ WORD_BITS = 8
 WORD_MASK = (1 << WORD_BITS) - 1
 #: the most registers or memory cells a machine has: addresses fit 16 bits
 MAX_CELLS = 1 << 16
+#: the registers and memory cells of a machine unless resolve() is told
+N_REGS = 32
+MEM_SIZE = 1024
 #: steps after which an engine stops a program that has not halted: about
 #: 30 times the longest corpus run (168,251 cycles for DPL PRESENT)
 MAX_STEPS = 5_000_000
@@ -129,7 +133,7 @@ class MemDirect:
 
 @dataclass(frozen=True)
 class MemIndirect:
-    base: Register | Immediate
+    base: Register
     offset: int = 0
 
     def __str__(self):
@@ -254,12 +258,13 @@ def _parse_loc(spec: str) -> tuple[str, int, int]:
 
 @dataclass(frozen=True)
 class LinkedProgram:
-    """Executable form: branch targets resolved to absolute indices."""
+    """Executable form: branch targets resolved to absolute indices, with
+    the source it came from and the machine size it was checked against."""
 
     instructions: tuple[Instruction, ...]
-    source: Program = field(compare=False, repr=False, default=None)
-    n_regs: int = 32
-    mem_size: int = 1024
+    source: Program = field(compare=False, repr=False)
+    n_regs: int
+    mem_size: int
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +292,9 @@ def _parse_operand(tok: str, line: int, col: int) -> Operand:
             body, off_s = body.split(",", 1)
             off = _parse_number(off_s, line, col)
         base = _parse_operand(body, line, col)
-        if not isinstance(base, (Register, Immediate)):
+        if isinstance(base, Immediate):  # a constant address is a direct cell
+            return MemDirect(base.value + off)
+        if not isinstance(base, Register):
             raise ParseError(f"indirect base must be register or immediate: {tok!r}", line, col)
         return MemIndirect(base, off)
     raise ParseError(f"bad operand {tok!r}", line, col)
@@ -393,7 +400,7 @@ def print_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 # linking
 
-def resolve(p: Program, *, n_regs: int = 32, mem_size: int = 1024) -> LinkedProgram:
+def resolve(p: Program, *, n_regs: int = N_REGS, mem_size: int = MEM_SIZE) -> LinkedProgram:
     """Replace label references by absolute instruction indices and validate
     the machine size (1 to MAX_CELLS registers and cells), operand ranges
     and the declared ``;@sensitive``/``;@output`` cells against it."""
@@ -446,9 +453,8 @@ def _check_ranges(op, shift, where, n_regs, mem_size):
         elif not 0 <= op.value <= WORD_MASK:
             raise LinkError(f"{where}: immediate {op.value} does not fit {WORD_BITS} bits")
     elif isinstance(op, MemIndirect):
-        if isinstance(op.base, Register):
-            if not 0 <= op.base.index < n_regs:
-                raise LinkError(f"{where}: register r{op.base.index} out of range")
+        if not 0 <= op.base.index < n_regs:
+            raise LinkError(f"{where}: register r{op.base.index} out of range")
         if not 0 <= op.offset < mem_size:
             raise LinkError(f"{where}: indirect offset {op.offset} out of range")
 

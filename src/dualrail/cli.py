@@ -36,7 +36,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .asm import ADAPTERS, MAX_CELLS, WORD_BITS, ParseError, parse, print_program, resolve
+from .asm import ADAPTERS, MAX_CELLS, MEM_SIZE, N_REGS, WORD_BITS, ParseError, parse, print_program, resolve
 from .dpl import DplConfig, TransformError, place_tables, transform
 from .equivalence import DplStateMap, check
 from .lab import (
@@ -156,10 +156,10 @@ def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _add_machine_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("-r", type=_int_in(1, MAX_CELLS + 1), default=32, metavar="N",
-                    help=f"register file size, at most {MAX_CELLS} (default 32)")
-    ap.add_argument("-m", type=_int_in(1, MAX_CELLS + 1), default=1024, metavar="N",
-                    help=f"memory size in cells, at most {MAX_CELLS} (default 1024)")
+    ap.add_argument("-r", type=_int_in(1, MAX_CELLS + 1), default=N_REGS, metavar="N",
+                    help=f"register file size, at most {MAX_CELLS} (default {N_REGS})")
+    ap.add_argument("-m", type=_int_in(1, MAX_CELLS + 1), default=MEM_SIZE, metavar="N",
+                    help=f"memory size in cells, at most {MAX_CELLS} (default {MEM_SIZE})")
 
 
 def _add_adapter_flag(ap: argparse.ArgumentParser) -> None:

@@ -279,7 +279,7 @@ def _scratch_free(op, cfg: DplConfig, what: str) -> None:
     reg = None
     if isinstance(op, Register):
         reg = op.index
-    elif isinstance(op, MemIndirect) and isinstance(op.base, Register):
+    elif isinstance(op, MemIndirect):
         reg = op.base.index
     if reg in cfg.reserved:
         raise TransformError(f"{what} uses reserved register r{reg}")
@@ -365,7 +365,7 @@ def _used_registers(p: Program) -> set[int]:
         for op in inst.operands:
             if isinstance(op, Register):
                 regs.add(op.index)
-            elif isinstance(op, MemIndirect) and isinstance(op.base, Register):
+            elif isinstance(op, MemIndirect):
                 regs.add(op.base.index)
     return regs
 

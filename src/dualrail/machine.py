@@ -59,7 +59,7 @@ class MachineState:
     cycle: int = 0
 
     @classmethod
-    def fresh(cls, n_regs: int = 32, mem_size: int = 1024) -> "MachineState":
+    def fresh(cls, n_regs: int, mem_size: int) -> "MachineState":
         return cls([0] * n_regs, [0] * mem_size)
 
     def copy(self) -> "MachineState":
@@ -81,8 +81,7 @@ def _load(state: MachineState, op, events: list[LeakageEvent], mem_size: int):
     if isinstance(op, MemDirect):
         addr = op.address
     else:  # MemIndirect
-        base = op.base.value if isinstance(op.base, Immediate) else state.registers[op.base.index]
-        addr = base + op.offset
+        addr = state.registers[op.base.index] + op.offset
     if not 0 <= addr < mem_size:
         raise MachineError(f"load address {addr} out of range at cycle {state.cycle}")
     value = state.memory[addr]
@@ -103,8 +102,7 @@ def _store(state: MachineState, op, value: int, events: list[LeakageEvent], mem_
     if isinstance(op, MemDirect):
         addr = op.address
     else:  # MemIndirect
-        base = op.base.value if isinstance(op.base, Immediate) else state.registers[op.base.index]
-        addr = base + op.offset
+        addr = state.registers[op.base.index] + op.offset
     if not 0 <= addr < mem_size:
         raise MachineError(f"store address {addr} out of range at cycle {state.cycle}")
     old = state.memory[addr]

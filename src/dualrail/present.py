@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asm import MAX_STEPS, WORD_BITS, LinkedProgram, parse, print_program
+from .asm import MAX_STEPS, MEM_SIZE, WORD_BITS, LinkedProgram, parse, print_program
 from .machine import MachineState, StepLimitExceeded, step
 
 MASK64 = (1 << 64) - 1
@@ -254,7 +254,7 @@ def corpus_init(
     *,
     slot: int = 0,
     cfg=None,
-    mem_size: int = 1024,
+    mem_size: int = MEM_SIZE,
 ) -> np.ndarray:
     """Initial memory matrix (mem_size, n_runs) for a batch of encryptions.
 
@@ -305,7 +305,7 @@ def loop_iteration_window(linked: LinkedProgram, label: str) -> tuple[int, int]:
     every run.  Raises KeyError for an unknown label, ValueError when the
     program halts before the second arrival and StepLimitExceeded when
     MAX_STEPS cycles pass without it."""
-    if linked.source is None or label not in linked.source.label_table:
+    if label not in linked.source.label_table:
         raise KeyError(f"no label {label!r} in program")
     idx = linked.source.label_table[label]
     state = MachineState.fresh(linked.n_regs, linked.mem_size)

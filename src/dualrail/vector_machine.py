@@ -92,17 +92,6 @@ class BatchResult:
     window_start: int = 0
 
 
-def _fixed(op, mem_size: int):
-    """An immediate-based indirect operand is a direct one; its address is
-    checked here because resolve() bounds only the offset."""
-    if isinstance(op, MemIndirect) and isinstance(op.base, Immediate):
-        a = op.base.value + op.offset
-        if not 0 <= a < mem_size:
-            raise MachineError(f"address {a} out of range")
-        return MemDirect(a)
-    return op
-
-
 class _Block:
     """The recording block of a run with leakage, and its weighting."""
 
@@ -189,8 +178,7 @@ def _layout(srcs, dest) -> tuple:
         if cls is MemDirect:
             codes += op.address, _DATA
         elif cls is MemIndirect:
-            base = op.base
-            codes += _ADDR if type(base) is Register else base.value + op.offset, _DATA
+            codes += _ADDR, _DATA
     if dest is not None:
         codes.append(_DATA)
     return tuple(codes)
@@ -214,7 +202,7 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None):
     builds no closure, and a loop compiles each pc once.  Results of the
     OPS functions are stored as they come: on uint8 rows and small
     immediates they stay uint8, and on lane-uniform ints they are ints."""
-    instructions, mem_size, lanes = program.instructions, program.mem_size, regs.shape[1]
+    instructions, lanes = program.instructions, regs.shape[1]
     flat, rows = mem.reshape(-1), list(regs)
     scratch = np.empty(lanes, dtype=np.intp)
     # the lane-uniform shadow of regs: per register the int every lane
@@ -263,7 +251,6 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None):
     def load(op, j):
         """Closure producing a source operand's value; its events start at
         slot j of the instruction."""
-        op = _fixed(op, mem_size)
         if isinstance(op, Immediate):
             v = op.value
             return lambda k: v
@@ -318,7 +305,6 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None):
     def store(op, j):
         """Closure storing a value vector/scalar into the destination and
         recording its events from slot j of the instruction on."""
-        op = _fixed(op, mem_size)
         if isinstance(op, Register):
             i, cell = op.index, rows[op.index]
 
@@ -484,14 +470,14 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None):
                     v = rows[op.index]
             else:
                 touched = True
-                if cls is MemIndirect and type(op.base) is Register:
+                if cls is MemDirect:
+                    v = mem[op.address]
+                else:
                     target, at = indexed(op, k)
                     try:
                         v = target[at]
                     except IndexError:
                         raise _beyond(op) from None
-                else:
-                    v = mem[op.address if cls is MemDirect else _fixed(op, mem_size).address]
                 if rec:
                     data[k + 1][...] = v
                     k += 2
@@ -525,10 +511,10 @@ def _compiler(program: LinkedProgram, regs, mem, block: _Block | None):
             return pc + 1
         if type(v) is int:
             v = as_row(v)
-        if cls is MemIndirect and type(dest.base) is Register:
-            target, at = indexed(dest, k)
+        if cls is MemDirect:
+            target, at = mem, dest.address
         else:
-            target, at = mem, dest.address if cls is MemDirect else _fixed(dest, mem_size).address
+            target, at = indexed(dest, k)
         try:
             if rec:
                 data[k + 1][...] = v

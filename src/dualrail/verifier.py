@@ -54,7 +54,7 @@ class SymbolicState:
     cycle: int = 0
 
     @classmethod
-    def fresh(cls, n_regs: int = 32, mem_size: int = 1024) -> "SymbolicState":
+    def fresh(cls, n_regs: int, mem_size: int) -> "SymbolicState":
         zero = frozenset((0,))
         return cls([zero] * n_regs, [zero] * mem_size)
 
@@ -113,8 +113,6 @@ def symbolic_init(
         if cfg is None
         else frozenset((cfg.encode(0), cfg.encode(1)))
     )
-    if program.source is None:
-        return state
     for kind, loc in program.source.declared_cells("sensitive"):
         if kind == "reg":
             state.registers[loc] = pair
@@ -158,12 +156,7 @@ class Verifier:
     def _addresses(self, state: SymbolicState, op) -> frozenset:
         if isinstance(op, MemDirect):
             return frozenset((op.address,))
-        bases = (
-            frozenset((op.base.value,))
-            if isinstance(op.base, Immediate)
-            else state.registers[op.base.index]
-        )
-        addrs = frozenset(b + op.offset for b in bases)
+        addrs = frozenset(b + op.offset for b in state.registers[op.base.index])
         for a in addrs:
             if not 0 <= a < self.program.mem_size:
                 raise VerifierError(f"address {a} out of range at cycle {state.cycle}")
@@ -325,11 +318,8 @@ class Verifier:
         regs, cells, indexed = set(), set(), []
         for op in inst.operands[:2] if kind == "branch" else inst.operands:
             if isinstance(op, MemIndirect):
-                if isinstance(op.base, Immediate):
-                    op = MemDirect(op.base.value + op.offset)
-                else:
-                    indexed.append((op.base.index, op.offset))
-                    op = op.base
+                indexed.append((op.base.index, op.offset))
+                op = op.base
             if isinstance(op, Register):
                 regs.add(op.index)
             elif isinstance(op, MemDirect):
@@ -450,11 +440,12 @@ def cross_validate(
     inputs must yield identical per-cycle leakage under uniform weights.
 
     All 2*n_pairs runs are one batch_run; lanes 2p and 2p+1 are pair p.
-    Raises StepLimitExceeded if the program does not halt within MAX_STEPS,
-    and NonConstantTimeError if its control flow depends on the inputs.
+    Raises ValueError for fewer than one pair, StepLimitExceeded if the
+    program does not halt within MAX_STEPS, and NonConstantTimeError if its
+    control flow depends on the inputs.
     """
-    if program.source is None or n_pairs <= 0:
-        return CrossValidation(True, 0)
+    if n_pairs < 1:
+        raise ValueError(f"need at least one pair, got {n_pairs}")
     cells = program.source.declared_cells("sensitive")
     lanes = 2 * n_pairs
     mem, regs = _init_arrays(program, cells, _random_bits(len(cells), lanes, seed), cfg)

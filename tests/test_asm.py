@@ -156,6 +156,19 @@ def test_resolve_rejects_out_of_range():
         resolve(parse("jmp #99\n"))
 
 
+def test_constant_address_is_a_direct_cell():
+    assert parse("mov r1 !#3,5\n").instructions == parse("mov r1 @8\n").instructions
+    assert parse("mov !#7 r1\n").instructions[0].operands[0] == MemDirect(7)
+    assert print_program(parse("mov r1 !#3,5\n")) == "mov r1 @8\n"
+
+
+@pytest.mark.parametrize("src", ["mov r2 !#200,900\n", "mov !#200,900 r2\n"])
+def test_constant_address_beyond_memory_is_link_error(src):
+    # cell 1100 of 1,024: refused at link time, as @1100 is
+    with pytest.raises(LinkError, match="address @1100 out of range"):
+        resolve(parse(src), mem_size=1024)
+
+
 @pytest.mark.parametrize("size", [dict(n_regs=0), dict(mem_size=0), dict(n_regs=MAX_CELLS + 1),
                                   dict(mem_size=MAX_CELLS + 1), dict(mem_size=70000)])
 def test_resolve_rejects_machine_size_out_of_range(size):

@@ -329,6 +329,15 @@ def test_transform_rejects_table_overlap():
         transform(parse(src), CANON)  # xor table occupies [32,48)
 
 
+def test_constant_address_counts_one_cell():
+    # !#0,600 is the cell @600, not 256 cells from 600 on that would
+    # reach the tables at 768
+    cfg = DplConfig(lut_base=768)
+    outs = [print_program(transform(parse(f";@sensitive @600\nmov r1 {op}\nand @601 @600 @600\n"), cfg)[0])
+            for op in ("!#0,600", "@600")]
+    assert outs[0] == outs[1]
+
+
 def test_transform_rejects_negative_scratch_register():
     # caught by validate, before the program would name r-1
     with pytest.raises(TransformError, match="negative register"):

@@ -24,6 +24,7 @@ CELLS = range(100, 108)
 
 _reg = st.sampled_from([f"r{i}" for i in (1, *DEST_REGS)])
 _direct = st.sampled_from([f"@{a}" for a in CELLS])
+#: the constant addresses !#N,off parse as the cells @N+off
 _indirect = st.one_of(
     st.sampled_from([f"!r1,{a}" for a in CELLS]),
     st.tuples(st.integers(0, 7), st.sampled_from(CELLS)).map(lambda t: f"!#{t[0]},{t[1]}"),

@@ -158,7 +158,7 @@ def test_loop_iteration_window_stops_at_the_step_limit(monkeypatch):
 def test_written_corpus_round_trips(tmp_path):
     paths = write_corpus_files(tmp_path)
     prog = parse(paths["asm"].read_text())
-    assert print_program(resolve(prog).source or prog)
+    assert print_program(resolve(prog).source) == print_program(prog)
     dpl_prog = parse(paths["dpl"].read_text())
     resolve(dpl_prog)  # links cleanly
     vecs = load_test_vectors(paths["vectors"])

@@ -186,8 +186,6 @@ def test_zero_runs_rejected():
     [
         "mov r1 #200\nmov r2 !r1,900\n",
         "mov r1 #200\nmov !r1,900 r2\n",
-        "mov r2 !#200,900\n",
-        "mov !#200,900 r2\n",
     ],
 )
 def test_address_beyond_memory_is_machine_error(src):

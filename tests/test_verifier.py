@@ -225,6 +225,15 @@ def test_leak_on_the_address_bus_alone():
     assert (xv.passed, xv.first_diff_cycle) == (False, 1)
 
 
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_cross_validate_needs_a_pair(n_pairs):
+    # with no pair to compare, a leaky program would pass
+    lp = resolve(parse(";@sensitive r4\nmov @100 r4\n"))
+    assert verify(lp).verdict == "leaky"
+    with pytest.raises(ValueError, match="at least one pair"):
+        cross_validate(lp, n_pairs=n_pairs)
+
+
 def test_cross_validate_no_sensitive_cells():
     lp = resolve(parse("mov r1 #3\n"))
     assert cross_validate(lp, n_pairs=5, seed=0).passed
