@@ -410,11 +410,22 @@ def resolve(p: Program, *, n_regs: int = N_REGS, mem_size: int = MEM_SIZE) -> Li
     table = p.label_table
     instrs = p.instructions
     n = len(instrs)
-    checked = set()  # (operand, is shift count) pairs already in range
     resolved = []
     for idx, inst in enumerate(instrs):
         for pos, op in enumerate(inst.operands):
-            if isinstance(op, AddressRef):
+            # the bounds of _check_ranges, compared inline; it runs only on
+            # an operand out of range, to raise its error
+            t, shift = type(op), False
+            if t is Register:
+                ok = 0 <= op.index < n_regs
+            elif t is MemDirect:
+                ok = 0 <= op.address < mem_size
+            elif t is MemIndirect:
+                ok = 0 <= op.base.index < n_regs and 0 <= op.offset < mem_size
+            elif t is Immediate:
+                shift = pos == 2 and inst.opcode in ("lsl", "lsr")
+                ok = 0 <= op.value <= (WORD_BITS if shift else WORD_MASK)
+            elif t is AddressRef:
                 if op.label is not None:
                     if op.label not in table:
                         raise LinkError(f"instruction {idx}: undefined label {op.label!r}")
@@ -426,10 +437,10 @@ def resolve(p: Program, *, n_regs: int = N_REGS, mem_size: int = MEM_SIZE) -> Li
                 if not 0 <= target <= n:
                     raise LinkError(f"instruction {idx}: branch target {target} out of range")
                 continue
-            key = (op, pos == 2 and inst.opcode in ("lsl", "lsr"))
-            if key not in checked:
-                _check_ranges(*key, f"instruction {idx} ({inst.opcode})", n_regs, mem_size)
-                checked.add(key)
+            else:
+                ok = False
+            if not ok:
+                _check_ranges(op, shift, f"instruction {idx} ({inst.opcode})", n_regs, mem_size)
         resolved.append(inst)
     for name in LOCATION_DIRECTIVES:
         for kind, _lo, hi in p.declared_spans(name):

@@ -267,19 +267,21 @@ def corpus_init(
     mem = np.zeros((mem_size, n), dtype=np.uint8)
     pbits = _bit_matrix(pts, 64)
     if isinstance(keys, int):
-        kbits = np.repeat(_bit_matrix([keys], 80), n, axis=1)
+        kbits = _bit_matrix([keys], 80)  # one column, broadcast to every run
     else:
         ks = list(keys)
         if len(ks) != n:
             raise ValueError("need one key per plaintext (or a single fixed key)")
         kbits = _bit_matrix(ks, 80)
-    if cfg is None:
-        mem[P_IN : P_IN + 64] = pbits << slot
-        mem[K_IN : K_IN + 80] = kbits << slot
-    else:
-        e0, e1 = cfg.encode(0), cfg.encode(1)
-        mem[P_IN : P_IN + 64] = np.where(pbits != 0, e1, e0).astype(np.uint8)
-        mem[K_IN : K_IN + 80] = np.where(kbits != 0, e1, e0).astype(np.uint8)
+    for base, bits in ((P_IN, pbits), (K_IN, kbits)):
+        rows = mem[base : base + len(bits)]
+        if cfg is None:
+            rows[...] = bits << slot
+        else:
+            # bit b is rail-encoded as e0 ^ b * (e0 ^ e1), in uint8 throughout
+            e0 = cfg.encode(0)
+            np.multiply(bits, np.uint8(e0 ^ cfg.encode(1)), out=rows)
+            rows ^= np.uint8(e0)
     return mem
 
 

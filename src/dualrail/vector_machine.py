@@ -68,8 +68,9 @@ _SLOT_LANE_BYTES = 1 + np.dtype(np.intp).itemsize + 4
 _BLOCK_SLOTS = 4096
 #: bytes an open window end first allocates for its leakage matrix: above
 #: the largest mmap threshold of glibc's malloc (32 MiB), so its pages stay
-#: untouched until written, and growing it remaps them without a copy
-PIECE_BYTES = 40 << 20
+#: untouched until written.  Whole-program runs of both corpora at up to
+#: 100 lanes (67 MB for DPL PRESENT) fit, so only longer runs grow it
+PIECE_BYTES = 256 << 20
 #: slots one instruction fills at most: two loads of an address and a
 #: data slot each, and a store of address, data and flips
 _MAX_SLOTS = 7

@@ -8,12 +8,31 @@ leakage activity under the Hamming model.  No tag exempts an instruction:
 every executed instruction is checked.
 
 Opcode semantics come from ``asm.OPS``, applied to every combination of
-operand values; two reads of one operand give one value.  A step depends
-only on its pc and the sets it reads, so ``verify`` memoises it exactly
-on those: a loop body revisited with the same sets replays its cached
-result and adds no finding it has not already merged.  cross_validate
-confirms a verdict dynamically, with all its input pairs as the lanes of
-one vector_machine.batch_run.
+operand values; two reads of one operand give one value.  Two caches,
+both exact, serve different traffic:
+
+- The pc memo serves loops.  A step depends only on its pc and the sets
+  it reads, so ``verify`` memoises it exactly on those: a loop body
+  revisited with the same sets replays its cached result and adds no
+  finding it has not already merged.  On DPL PRESENT it skips 164,680 of
+  the 168,251 steps.
+- The set-algebra cache serves the steps the memo misses, which on
+  straight-line code is every step: each pc runs once, but a gate's macro
+  sees the same few rail-encoded sets as every other gate's.  The image of
+  an opcode over its operand sets (with its (old, new) pairs), the
+  Hamming weights of a set and the Hamming distances of an update are
+  cached for one ``verify``.  Each image is interned, so equal sets meet
+  as one object and the next step hits too.  The findings are still made
+  by every step, from the cached sets.
+
+Neither subsumes the other: the memo skips a whole step, findings
+included, but only at a pc it has seen with the same sets; the set cache
+works across pcs, but still steps.  Witnesses are the first pairs in a
+set's iteration order, and equal sets of ints can iterate differently
+(``{1, 9}`` built in two orders), so images are interned and cached on
+their elements in iteration order, never on equality alone.
+cross_validate confirms a verdict dynamically, with all its input pairs
+as the lanes of one vector_machine.batch_run.
 """
 from __future__ import annotations
 
@@ -150,12 +169,32 @@ class Verifier:
     def __init__(self, program: LinkedProgram, cap: int = 16):
         self.program = program
         self.cap = cap
+        # the set algebra of one verify run (see the module docstring): an
+        # image is keyed on the ids of its operand sets and holds them, so
+        # no id is reused; weights and distances, which no witness reads,
+        # are keyed on the sets themselves
+        self._sets: dict[tuple, frozenset] = {}  # elements in iteration order -> the one such set
+        self._images: dict[tuple, tuple] = {}  # (fn, id a, id b, flags) -> image, pairs, their hd, a, b
+        self._hw: dict[frozenset, frozenset] = {}  # set -> its Hamming weights
+        self._hd: dict[tuple, frozenset] = {}  # (old, new) -> the Hamming distances between them
+
+    def _intern(self, s: frozenset) -> frozenset:
+        """The one set equal to s that iterates in s's order."""
+        key = tuple(s)
+        t = self._sets.get(key)
+        if t is None:
+            self._sets[key] = t = s
+        return t
+
+    def _weights(self, s: frozenset) -> frozenset:
+        hw = self._hw.get(s)
+        if hw is None:
+            self._hw[s] = hw = frozenset([HW[v] for v in s])
+        return hw
 
     # -- operand access -----------------------------------------------------
 
-    def _addresses(self, state: SymbolicState, op) -> frozenset:
-        if isinstance(op, MemDirect):
-            return frozenset((op.address,))
+    def _addresses(self, state: SymbolicState, op: MemIndirect) -> frozenset:
         addrs = frozenset(b + op.offset for b in state.registers[op.base.index])
         for a in addrs:
             if not 0 <= a < self.program.mem_size:
@@ -163,22 +202,33 @@ class Verifier:
         return addrs
 
     def _load(self, state: SymbolicState, op, findings: list, idx: int):
-        if isinstance(op, Register):
+        t = type(op)
+        if t is Register:
             return state.registers[op.index]
-        if isinstance(op, Immediate):
-            return frozenset((op.value,))
-        addrs = self._addresses(state, op)
-        vals = set()
-        for a in addrs:
-            vals |= state.memory[a]
-        if len(vals) > self.cap:
-            raise _CapExceeded
-        vals = frozenset(vals)
-        hw_addr = frozenset(HW[a] for a in addrs)
-        if len(hw_addr) > 1:
-            w = _hw_witness(addrs)
-            findings.append(LeakFinding(idx, "addr_bus", "abus", hw_addr, hw_addr, w))
-        hw_data = frozenset(HW[v] for v in vals)
+        if t is Immediate:
+            key = (op.value,)
+            vals = self._sets.get(key)
+            if vals is None:
+                self._sets[key] = vals = frozenset(key)
+            return vals
+        if t is MemDirect:
+            # one address: its weight on the address bus is one value
+            vals = state.memory[op.address]
+            if len(vals) > self.cap:
+                raise _CapExceeded
+        else:
+            addrs = self._addresses(state, op)
+            vals = set()
+            for a in addrs:
+                vals |= state.memory[a]
+            if len(vals) > self.cap:
+                raise _CapExceeded
+            vals = self._intern(frozenset(vals))
+            hw_addr = frozenset(HW[a] for a in addrs)
+            if len(hw_addr) > 1:
+                w = _hw_witness(addrs)
+                findings.append(LeakFinding(idx, "addr_bus", "abus", hw_addr, hw_addr, w))
+        hw_data = self._weights(vals)
         if len(hw_data) > 1:
             w = _hw_witness(vals)
             findings.append(LeakFinding(idx, "data_bus", "dbus", hw_data, hw_data, w))
@@ -186,8 +236,11 @@ class Verifier:
 
     def _cell(self, state: SymbolicState, op, idx: int) -> tuple[list, int]:
         """The list and index of the one cell a destination writes."""
-        if isinstance(op, Register):
+        t = type(op)
+        if t is Register:
             return state.registers, op.index
+        if t is MemDirect:
+            return state.memory, op.address
         addrs = self._addresses(state, op)
         if len(addrs) != 1:
             raise VerifierError(f"data-dependent store address at instruction {idx}")
@@ -202,12 +255,14 @@ class Verifier:
         findings: list,
         idx: int,
         pairs: frozenset | None = None,
+        pairs_hd: frozenset | None = None,
     ):
         """Write `vals` to a destination.  `pairs` carries the correlated
         (old, new) possibilities when the destination aliases a source
-        operand; otherwise old and new are treated as independent."""
-        hw_set = frozenset([HW[v] for v in vals])
-        if isinstance(op, Register):
+        operand, and `pairs_hd` their Hamming distances; otherwise old and
+        new are treated as independent."""
+        hw_set = self._weights(vals)
+        if type(op) is Register:
             cells, i = state.registers, op.index
             loc, kind = op, "reg_update"
         else:
@@ -222,9 +277,12 @@ class Verifier:
         old = cells[i]
         cells[i] = vals
         if pairs is None:
-            hd_set = frozenset([HW[o ^ n] for o in old for n in vals])
+            key = (old, vals)
+            hd_set = self._hd.get(key)
+            if hd_set is None:
+                self._hd[key] = hd_set = frozenset([HW[o ^ n] for o in old for n in vals])
         else:
-            hd_set = frozenset([HW[o ^ n] for o, n in pairs])
+            hd_set = pairs_hd
         if len(hd_set) > 1 or len(hw_set) > 1:
             witness = _hd_witness(pairs or product(old, vals)) or _hw_witness(vals)
             findings.append(LeakFinding(idx, kind, str(loc), hd_set, hw_set, witness))
@@ -261,48 +319,57 @@ class Verifier:
         elif spec.kind == "unary":
             dest, src = inst.operands
             vals = self._load(state, src, findings, idx)
-            image = [spec.fn(v, WORD_MASK) for v in vals]
             # an update of its own source pairs each old value with its image;
             # operands of two kinds never alias, and their dataclass __eq__
             # would run twice to say so
             alias = type(dest) is type(src) and dest == src
-            pairs = frozenset(zip(vals, image)) if alias else None
-            self._store(state, dest, frozenset(image), findings, idx, pairs=pairs)
+            key = (spec.fn, id(vals), alias)
+            hit = self._images.get(key)
+            if hit is None:
+                image = [spec.fn(v, WORD_MASK) for v in vals]
+                pairs = frozenset(zip(vals, image)) if alias else None
+                hit = self._image(key, frozenset(image), pairs, vals)
+            self._store(state, dest, hit[0], findings, idx, hit[1], hit[2])
         elif spec.kind == "binary":
             dest, sa, sb = inst.operands
             a = self._load(state, sa, findings, idx)
             b = self._load(state, sb, findings, idx)
-            f = spec.fn
             cls = type(dest)
             alias_a = type(sa) is cls and dest == sa
             alias_b = type(sb) is cls and dest == sb
             # two reads of one location give one value in a run: pair each
             # value with itself, not with every value of the other read
             same = type(sa) is type(sb) and sa == sb
-            image = set()
-            pairs = set()
-            for x in a:
-                for y in (x,) if same else b:
-                    v = f(x, y, WORD_MASK)
-                    image.add(v)
-                    if alias_a:
-                        pairs.add((x, v))
-                    elif alias_b:
-                        pairs.add((y, v))
-            if len(image) > self.cap:
-                raise _CapExceeded
-            self._store(
-                state,
-                dest,
-                frozenset(image),
-                findings,
-                idx,
-                pairs=frozenset(pairs) if (alias_a or alias_b) else None,
-            )
+            key = (spec.fn, id(a), id(b), same, alias_a, alias_b)
+            hit = self._images.get(key)
+            if hit is None:
+                f = spec.fn
+                image = set()
+                pairs = set()
+                for x in a:
+                    for y in (x,) if same else b:
+                        v = f(x, y, WORD_MASK)
+                        image.add(v)
+                        if alias_a:
+                            pairs.add((x, v))
+                        elif alias_b:
+                            pairs.add((y, v))
+                if len(image) > self.cap:
+                    raise _CapExceeded
+                pairs = frozenset(pairs) if (alias_a or alias_b) else None
+                hit = self._image(key, frozenset(image), pairs, a, b)
+            self._store(state, dest, hit[0], findings, idx, hit[1], hit[2])
 
         state.pc = next_pc
         state.cycle += 1
         return findings
+
+    def _image(self, key: tuple, image: frozenset, pairs, *operands) -> tuple:
+        """Cache a step's image and its (old, new) pairs under `key`, with
+        the operand sets whose ids the key holds."""
+        hd = None if pairs is None else frozenset([HW[o ^ n] for o, n in pairs])
+        self._images[key] = hit = (self._intern(image), pairs, hd, *operands)
+        return hit
 
     def _key_reader(self, idx: int):
         """A function (registers, memory) -> key of every set instruction idx

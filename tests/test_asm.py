@@ -1,5 +1,7 @@
 """Front-end tests: parsing, printing, label resolution, dialect adapters."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,13 +11,17 @@ from dualrail.asm import (
     AddressRef,
     Immediate,
     Instruction,
+    LOCATION_DIRECTIVES,
+    Line,
     LinkError,
     MAX_CELLS,
     OPS,
     MemDirect,
     MemIndirect,
     ParseError,
+    Program,
     Register,
+    _check_ranges,
     parse,
     print_program,
     resolve,
@@ -218,3 +224,103 @@ def test_round_trip_property(rows):
     p = parse(src)
     assert print_program(parse(print_program(p))) == print_program(p)
     assert len(p.instructions) == len(rows)
+
+
+# -- resolve against a per-operand reference --------------------------------
+
+
+def _resolve_reference(p, n_regs, mem_size):
+    """What resolve() does, with _check_ranges run on every operand: the
+    linked instructions, or the message of the first LinkError."""
+    try:
+        for name, size in (("n_regs", n_regs), ("mem_size", mem_size)):
+            if not 1 <= size <= MAX_CELLS:
+                raise LinkError(f"{name} {size} is not from 1 to {MAX_CELLS}")
+        out = []
+        for idx, inst in enumerate(p.instructions):
+            for pos, op in enumerate(inst.operands):
+                if isinstance(op, AddressRef):
+                    if op.label is not None and op.label not in p.label_table:
+                        raise LinkError(f"instruction {idx}: undefined label {op.label!r}")
+                    target = p.label_table[op.label] if op.label is not None else op.index
+                    if not 0 <= target <= len(p.instructions):
+                        raise LinkError(f"instruction {idx}: branch target {target} out of range")
+                    inst = Instruction(inst.opcode, inst.operands[:pos] + (AddressRef(index=target),))
+                else:
+                    shift = pos == 2 and inst.opcode in ("lsl", "lsr")
+                    _check_ranges(op, shift, f"instruction {idx} ({inst.opcode})", n_regs, mem_size)
+            out.append(inst)
+        for name in LOCATION_DIRECTIVES:
+            for kind, _lo, hi in p.declared_spans(name):
+                loc = Register(hi) if kind == "reg" else MemDirect(hi)
+                _check_ranges(loc, False, f";@{name}", n_regs, mem_size)
+    except LinkError as exc:
+        return str(exc)
+    return tuple(out)
+
+
+def _random_program(rng, n_regs, mem_size):
+    """A few instructions of every kind; about one operand in 30 is just
+    outside its range, as are some branch targets and declared cells."""
+    def bound(hi):  # an integer in [0, hi), or now and then -1 or hi
+        return rng.choice((-1, hi)) if rng.random() < 0.03 else rng.randrange(hi)
+
+    def location():
+        return rng.choice((
+            lambda: Register(bound(n_regs)),
+            lambda: MemDirect(bound(mem_size)),
+            lambda: MemIndirect(Register(bound(n_regs)), bound(mem_size)),
+        ))()
+
+    def source(shift=False):
+        if rng.random() < 0.3:
+            return Immediate(bound(9 if shift else 256))
+        return location()
+
+    n = rng.randint(1, 5)
+    labels = ["a", "b"]
+
+    def target():
+        if rng.random() < 0.5:
+            return AddressRef(label=rng.choice(labels + ["missing"] * (rng.random() < 0.05)))
+        return AddressRef(index=bound(n + 1))
+
+    lines = []
+    for i in range(n):
+        opcode = rng.choice(sorted(OPS))
+        kind = OPS[opcode].kind
+        if kind == "nop":
+            ops = ()
+        elif kind == "jump":
+            ops = (target(),)
+        elif kind == "branch":
+            ops = (source(), source(), target())
+        elif kind == "unary":
+            ops = (location(), source())
+        else:
+            ops = (location(), source(), source(opcode in ("lsl", "lsr")))
+        label = labels[i] if i < len(labels) and rng.random() < 0.5 else None
+        lines.append(Line(label, Instruction(opcode, ops)))
+    for name in LOCATION_DIRECTIVES:
+        if rng.random() < 0.3:  # the last register or cell, or one past it
+            past = rng.random() < 0.1
+            loc = f"r{n_regs - 1 + past}" if rng.random() < 0.5 else f"@0-{mem_size - 1 + past}"
+            lines.append(Line(directive=f"{name} {loc}"))
+    return Program(tuple(lines))
+
+
+def test_resolve_equals_per_operand_reference():
+    # 20,000 seeded programs, linked against small and default machines
+    rng = random.Random(20)
+    invalid = 0
+    for _ in range(20_000):
+        n_regs, mem_size = rng.choice((1, 4, 32)), rng.choice((8, 16, 1024))
+        p = _random_program(rng, n_regs, mem_size)
+        want = _resolve_reference(p, n_regs, mem_size)
+        try:
+            got = resolve(p, n_regs=n_regs, mem_size=mem_size).instructions
+        except LinkError as exc:
+            got = str(exc)
+        assert got == want, p
+        invalid += isinstance(want, str)
+    assert 2_000 < invalid < 18_000  # both outcomes are well represented

@@ -15,6 +15,8 @@ from dualrail.present import (
     SBOX_GATES,
     SBOX_IN,
     SBOX_OUT,
+    K_IN,
+    P_IN,
     corpus_init,
     first_round_subkey_nibble,
     load_test_vectors,
@@ -190,3 +192,22 @@ def test_transform_of_corpus_is_deterministic(unprotected_src):
     a, _ = transform(unprotected_src, cfg)
     b, _ = transform(unprotected_src, cfg)
     assert print_program(a) == print_program(b)
+
+
+@pytest.mark.parametrize("cfg", [None, DplConfig(), DplConfig(bit_f=2, bit_t=1), DplConfig(bit_f=7, bit_t=0)])
+@pytest.mark.parametrize("per_run_keys", [False, True])
+def test_corpus_init_places_the_bits(cfg, per_run_keys):
+    # the rail encoding of each bit under both orientations, or the bit at
+    # its slot, in the plaintext and key cells; every other cell stays 0
+    rng = np.random.default_rng(7)
+    pts = [int(v) for v in rng.integers(0, 2**63, 5, dtype=np.uint64)] + [0, 2**64 - 1]
+    keys = [int.from_bytes(rng.bytes(10), "little") for _ in pts] if per_run_keys else 0x133457799BBCDFF1AABB
+    mem = corpus_init(pts, keys, slot=5, cfg=cfg)
+    kbits = [[(k >> i) & 1 for k in (keys if per_run_keys else [keys] * len(pts))] for i in range(80)]
+    pbits = [[(p >> i) & 1 for p in pts] for i in range(64)]
+    want = np.zeros_like(mem)
+    for base, bits in ((P_IN, pbits), (K_IN, kbits)):
+        cells = np.array(bits, dtype=np.uint8)
+        want[base : base + len(bits)] = cells << 5 if cfg is None else np.where(cells, cfg.encode(1), cfg.encode(0))
+    assert mem.dtype == np.uint8 and mem.shape == (1024, len(pts))
+    assert np.array_equal(mem, want)

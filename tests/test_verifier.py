@@ -2,17 +2,21 @@
 and concrete cross-validation."""
 
 import hashlib
+import importlib.util
 import inspect
 import json
 from collections import Counter, defaultdict
+from contextlib import nullcontext
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dualrail import machine, vector_machine, verifier
-from dualrail.asm import MAX_STEPS, parse, resolve
+from dualrail.asm import MAX_STEPS, OPS, OpSpec, parse, resolve
 from dualrail.dpl import DplConfig, transform
 from dualrail.machine import MachineState, run
 from dualrail.verifier import (
@@ -408,3 +412,127 @@ def test_memo_keeps_an_address_past_the_memory_an_error():
     )
     with pytest.raises(VerifierError, match=r"^address 1030 out of range at cycle 16$"):
         _verify_src(src)
+
+
+# -- cached set algebra -----------------------------------------------------
+
+
+def _netlist_generator():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netlist.py"
+    spec = importlib.util.spec_from_file_location("netlist", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate
+
+
+@pytest.mark.parametrize("gates, pin", [
+    (250, "89e6ac30bf9c5e81c2b6523ef56c04339dbe945872d606640db215d7da115418"),
+    (4000, "89f46317bf7d63094297c06539c291075c65fe59a9a1bc534f2a9612decb795f"),
+])
+def test_netlist_reports_pinned(gates, pin, canonical_cfg):
+    # straight-line DPL code, where no pc is revisited: sha256 of the
+    # report JSON of the seed-1 benchmark netlist
+    out, _ = transform(parse(_netlist_generator()(1, gates=gates)), canonical_cfg)
+    rep = verify(resolve(out), cfg=canonical_cfg)
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == pin
+
+
+class _Forgetful(dict):
+    """A cache that never keeps an entry."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _cached_vs_uncached(lp, cfg=None, **kw):
+    """verify() on lp, and again with every set-algebra cache forgetting
+    what it is given: both must give the same report, or the same error,
+    and the same final state."""
+    init = Verifier.__init__
+
+    def forgetful(self, *args):
+        init(self, *args)
+        for name, cache in vars(self).items():
+            if type(cache) is dict:
+                setattr(self, name, _Forgetful())
+
+    outcomes = []
+    for patch in (nullcontext(), mock.patch.object(Verifier, "__init__", forgetful)):
+        state = symbolic_init(lp, cfg)
+        with patch:
+            try:
+                out = verify(lp, init=state, **kw).to_json()
+            except VerifierError as exc:
+                out = (type(exc), str(exc))
+        outcomes.append((out, state.registers, state.memory, state.pc, state.cycle))
+    assert outcomes[0] == outcomes[1]
+
+
+#: no destination is r1, so a store through it has one address unless r1
+#: is sensitive; r2 is written too, so !r2,100 may reach any of 256 cells
+_CELLS = [f"@{a}" for a in range(100, 104)]
+_REGS = [f"r{i}" for i in range(2, 6)]
+_INDEXED = [f"!r1,{a}" for a in (100, 102)] + ["!r2,100"]
+
+
+@st.composite
+def _set_program(draw):
+    """A straight-line or counted-loop program over few registers and
+    cells, so that destinations alias sources and a source is often read
+    twice; r1 or r2 as a base makes an indexed read of several cells."""
+    sensitive = draw(st.lists(st.sampled_from(["r1", *_REGS, *_CELLS]), min_size=1, max_size=3, unique=True))
+    body = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(sorted(o for o, s in OPS.items() if s.kind in ("unary", "binary"))))
+        dest = draw(st.sampled_from(_REGS + _CELLS + _INDEXED))
+        pool = st.one_of(
+            st.sampled_from(["r1", *_REGS, *_CELLS, *_INDEXED, dest]),
+            st.integers(0, 255).map(lambda v: f"#{v}"),
+        )
+        srcs = [draw(pool) for _ in range(OPS[op].arity - 1)]
+        if len(srcs) == 2 and draw(st.booleans()):
+            srcs[1] = srcs[0]
+        if op in ("lsl", "lsr"):
+            srcs[-1] = draw(st.one_of(st.sampled_from(_REGS), st.integers(0, 8).map(lambda v: f"#{v}")))
+        body.append(" ".join([op, dest, *srcs]))
+    passes = draw(st.integers(1, 3))
+    if passes > 1:  # r8 counts the passes: no generated instruction touches it
+        body = [f"top: {body[0]}", *body[1:], "add r8 r8 #1 ;@public", f"bne r8 #{passes} top"]
+    return "".join(f";@sensitive {loc}\n" for loc in sensitive) + "".join(f"{i}\n" for i in body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_set_program(), st.sampled_from([2, 4, 16]), st.booleans())
+# two reads of one set from two locations are not two reads of one location
+@example(";@sensitive r2\nmov r3 r2\nmov r4 r2\nxor r5 r3 r3\nxor r5 r3 r4\n", 16, False)
+# {1, 9} built as 1, 9 and as 9, 1: equal sets whose witnesses differ
+@example(";@sensitive r2\nlsl r3 r2 #3\norr r4 r3 #1\nxor r5 r3 #9\nmov r6 r5\n", 16, False)
+# the same function of the same sets, once into a destination that is a
+# source (first, then second): its update pairs each old value with its new
+@example(";@sensitive r2\nmov r3 r2\nmov r2 r2\nxor r4 #1 r2\nxor r2 #1 r2\nxor r5 r2 #1\nxor r2 r2 #1\n", 16, False)
+def test_set_cache_does_not_change_a_report(src, cap, encoded):
+    cfg = CANON if encoded else None
+    _cached_vs_uncached(resolve(parse(src)), cap=cap, cfg=cfg)
+
+
+def test_set_algebra_is_computed_once_per_operand_sets(canonical_cfg):
+    # every copy of the gate reads the sets the copy before it read, so
+    # only the first copies compute images; later copies reuse them
+    calls = Counter()
+
+    def counted(name, fn):
+        def f(*args):
+            calls[name] += 1
+            return fn(*args)
+        return f
+
+    patched = {name: OpSpec(spec.kind, counted(name, spec.fn)) for name, spec in OPS.items() if spec.fn}
+    counts = []
+    for copies in (10, 100):
+        out, _ = transform(parse(";@sensitive @0-1\n" + "and @2 @0 @1\n" * copies), canonical_cfg)
+        lp = resolve(out)
+        calls.clear()
+        with mock.patch.dict(verifier.OPS, patched):
+            assert verify(lp, cfg=canonical_cfg).verdict == "balanced"
+        counts.append(sum(calls.values()))
+    assert counts[0] == counts[1]
