@@ -53,12 +53,9 @@ from .asm import (
 )
 from .dpl import (
     DplConfig,
-    LutSpec,
     TransformError,
     TransformReport,
-    expand_macro,
     gen_luts,
-    rewrite_not,
     transform,
 )
 from .equivalence import DplStateMap, EquivalenceVerdict, check
@@ -135,7 +132,6 @@ __all__ = [
     "LeakageEvent",
     "LinkError",
     "LinkedProgram",
-    "LutSpec",
     "MachineError",
     "MachineState",
     "MemDirect",
@@ -158,7 +154,6 @@ __all__ = [
     "cpa_monobit",
     "cross_validate",
     "cycle_leakage",
-    "expand_macro",
     "first_round_subkey_nibble",
     "gen_luts",
     "load_test_vectors",
@@ -174,7 +169,6 @@ __all__ = [
     "read_ciphertexts",
     "reference_encrypt",
     "resolve",
-    "rewrite_not",
     "run",
     "save_traces",
     "step",

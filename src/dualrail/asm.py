@@ -413,18 +413,30 @@ def resolve(p: Program, *, n_regs: int = N_REGS, mem_size: int = MEM_SIZE) -> Li
     resolved = []
     for idx, inst in enumerate(instrs):
         for pos, op in enumerate(inst.operands):
-            # the bounds of _check_ranges, compared inline; it runs only on
-            # an operand out of range, to raise its error
-            t, shift = type(op), False
+            # one bound per operand type, dispatched on the exact type:
+            # nothing is hashed for an operand in range
+            t = type(op)
             if t is Register:
-                ok = 0 <= op.index < n_regs
+                if not 0 <= op.index < n_regs:
+                    raise LinkError(f"instruction {idx} ({inst.opcode}): register r{op.index} out of range")
             elif t is MemDirect:
-                ok = 0 <= op.address < mem_size
+                if not 0 <= op.address < mem_size:
+                    raise LinkError(f"instruction {idx} ({inst.opcode}): address @{op.address} out of range")
             elif t is MemIndirect:
-                ok = 0 <= op.base.index < n_regs and 0 <= op.offset < mem_size
+                if not 0 <= op.base.index < n_regs:
+                    raise LinkError(f"instruction {idx} ({inst.opcode}): register r{op.base.index} out of range")
+                if not 0 <= op.offset < mem_size:
+                    raise LinkError(f"instruction {idx} ({inst.opcode}): indirect offset {op.offset} out of range")
             elif t is Immediate:
-                shift = pos == 2 and inst.opcode in ("lsl", "lsr")
-                ok = 0 <= op.value <= (WORD_BITS if shift else WORD_MASK)
+                # immediates are data words except when used as a shift
+                # count, which is bounded by the word width instead
+                if pos == 2 and inst.opcode in ("lsl", "lsr"):
+                    if not 0 <= op.value <= WORD_BITS:
+                        raise LinkError(f"instruction {idx} ({inst.opcode}): shift count {op.value} out of range")
+                elif not 0 <= op.value <= WORD_MASK:
+                    raise LinkError(
+                        f"instruction {idx} ({inst.opcode}): immediate {op.value} does not fit {WORD_BITS} bits"
+                    )
             elif t is AddressRef:
                 if op.label is not None:
                     if op.label not in table:
@@ -436,38 +448,15 @@ def resolve(p: Program, *, n_regs: int = N_REGS, mem_size: int = MEM_SIZE) -> Li
                     target = op.index
                 if not 0 <= target <= n:
                     raise LinkError(f"instruction {idx}: branch target {target} out of range")
-                continue
-            else:
-                ok = False
-            if not ok:
-                _check_ranges(op, shift, f"instruction {idx} ({inst.opcode})", n_regs, mem_size)
         resolved.append(inst)
     for name in LOCATION_DIRECTIVES:
         for kind, _lo, hi in p.declared_spans(name):
-            _check_ranges(Register(hi) if kind == "reg" else MemDirect(hi), False, f";@{name}", n_regs, mem_size)
+            # _parse_loc admits no negative index: only the top can be out
+            if kind == "reg" and hi >= n_regs:
+                raise LinkError(f";@{name}: register r{hi} out of range")
+            if kind == "mem" and hi >= mem_size:
+                raise LinkError(f";@{name}: address @{hi} out of range")
     return LinkedProgram(tuple(resolved), source=p, n_regs=n_regs, mem_size=mem_size)
-
-
-def _check_ranges(op, shift, where, n_regs, mem_size):
-    if isinstance(op, Register):
-        if not 0 <= op.index < n_regs:
-            raise LinkError(f"{where}: register r{op.index} out of range")
-    elif isinstance(op, MemDirect):
-        if not 0 <= op.address < mem_size:
-            raise LinkError(f"{where}: address @{op.address} out of range")
-    elif isinstance(op, Immediate):
-        # immediates are data words except when used as a shift count,
-        # which is bounded by the word width instead
-        if shift:
-            if not 0 <= op.value <= WORD_BITS:
-                raise LinkError(f"{where}: shift count {op.value} out of range")
-        elif not 0 <= op.value <= WORD_MASK:
-            raise LinkError(f"{where}: immediate {op.value} does not fit {WORD_BITS} bits")
-    elif isinstance(op, MemIndirect):
-        if not 0 <= op.base.index < n_regs:
-            raise LinkError(f"{where}: register r{op.base.index} out of range")
-        if not 0 <= op.offset < mem_size:
-            raise LinkError(f"{where}: indirect offset {op.offset} out of range")
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 One binary, three entry points:
 
 ``dualrail [flags] file.asm``
-    The compiler pipeline.  Stages are opt-in and run in a fixed order:
-    lint (``-l``), dual-rail transform (``-d``), balance verification
-    (``-v``), concrete simulation (``-s``).  A single JSON document on
-    stdout carries one report per executed stage.
+    The compiler pipeline.  Stages run in a fixed order: lint, which
+    parses the program and links it under ``-r``/``-m`` (``-l`` stops
+    there), then the opt-in dual-rail transform (``-d``), balance
+    verification (``-v``) and concrete simulation (``-s``).  These take
+    the linked program, or the transform's output, linked once.  A single
+    JSON document on stdout carries one report per executed stage.
 
 ``dualrail equiv original.asm transformed.asm``
     Functional equivalence check between a program and its dual-rail
@@ -19,10 +21,11 @@ One binary, three entry points:
 Every run prints one JSON document on stdout, failures included: a failed
 stage adds ``{"<stage>": {"error": "..."}}`` to the report.  The exit
 code depends only on the stage that failed (``EXIT_CODES``): 0 success,
-1 usage (a bad command line) or parse error, 2 transform error, 3 verify
-(not balanced, or it could not run), 4 simulate or lab failure, 5
-equivalence failure.  ``-h`` prints help and exits 0.  A reader that
-closes stdout before the report is written leaves the exit code as it is.
+1 usage (a bad command line), parse or lint (link) error, 2 transform
+error, 3 verify (not balanced, or it could not run), 4 simulate or lab
+failure, 5 equivalence failure.  ``-h`` prints help and exits 0.  A
+reader that closes stdout before the report is written leaves the exit
+code as it is.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ EXIT_EQUIVALENCE = 5
 EXIT_CODES = {
     "usage": EXIT_PARSE,
     "parse": EXIT_PARSE,
+    "lint": EXIT_PARSE,
     "transform": EXIT_TRANSFORM,
     "verify": EXIT_LEAKY,
     "simulate": EXIT_SIMULATE,
@@ -268,7 +272,7 @@ def _build_pipeline_parser() -> argparse.ArgumentParser:
     ap.add_argument("-o", metavar="FILE", default=None,
                     help="write the transformed program to FILE")
     ap.add_argument("-l", action="store_true",
-                    help="only check syntax, then stop")
+                    help="only parse and link (under -r/-m), then stop")
     ap.add_argument("-d", action="store_true",
                     help="transform the program to dual-rail form")
     ap.add_argument("-v", action="store_true",
@@ -287,40 +291,45 @@ def _build_pipeline_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _stage_lint(program, report: dict) -> None:
+@_stage("lint")
+def _stage_lint(program, args, report: dict):
+    linked = _resolve(program, args)
     report["lint"] = {
         "ok": True,
         "instructions": len(program.instructions),
         "labels": len(program.label_table),
     }
+    return linked
 
 
 @_stage("transform")
-def _stage_transform(program, args, report: dict):
+def _stage_transform(linked, args, report: dict):
+    program = linked.source
     cfg = _config_from(args)
     if args.la is None:
         cfg = place_tables(program, cfg, args.m)
     transformed, tr = transform(program, cfg)
     report["transform"] = json.loads(tr.to_json())
+    out = _resolve(transformed, args)
     if args.o:
         text = (ADAPTERS[args.a].print if args.a else print_program)(transformed)
         with _stage("transform", f"cannot write {args.o}"), open(args.o, "w") as fh:
             fh.write(text)
         report["transform"]["output"] = args.o
-    return transformed
+    return out
 
 
 @_stage("verify")
-def _stage_verify(program, args, report: dict) -> None:
-    br = verify(_resolve(program, args), cfg=_config_from(args))
+def _stage_verify(linked, args, report: dict) -> None:
+    br = verify(linked, cfg=_config_from(args))
     report["verify"] = json.loads(br.to_json())
     if br.verdict != "balanced":
         raise CliError("verify", f"verdict {br.verdict}")
 
 
 @_stage("simulate")
-def _stage_simulate(program, args, report: dict) -> None:
-    result = run(_resolve(program, args))
+def _stage_simulate(linked, args, report: dict) -> None:
+    result = run(linked)
     final = result.final_state
     sim = {"cycles": final.cycle, "instructions_executed": result.instruction_count}
     if args.M:
@@ -337,16 +346,15 @@ def _stage_simulate(program, args, report: dict) -> None:
 
 
 def _pipeline(args, report: dict) -> None:
-    program = _parse_program(args.file, args.a)
-    _stage_lint(program, report)
+    linked = _stage_lint(_parse_program(args.file, args.a), args, report)
     if args.l:
         return
     if args.d:
-        program = _stage_transform(program, args, report)
+        linked = _stage_transform(linked, args, report)
     if args.v:
-        _stage_verify(program, args, report)
+        _stage_verify(linked, args, report)
     if args.s:
-        _stage_simulate(program, args, report)
+        _stage_simulate(linked, args, report)
 
 
 # ---------------------------------------------------------------------------

@@ -143,16 +143,6 @@ class DplConfig:
         return self.lut_base + region * self.region_size + slot
 
 
-@dataclass(frozen=True)
-class LutSpec:
-    """One table: entries maps every in-region address offset to its cell
-    value - encoded results at valid packed indices, poison 0 elsewhere."""
-
-    op: str
-    base: int
-    entries: dict[int, int] = field(hash=False)
-
-
 @dataclass
 class TransformReport:
     expanded_count: int
@@ -174,38 +164,31 @@ class TransformReport:
         )
 
 
-def gen_luts(cfg: DplConfig, ops_used) -> tuple[list[LutSpec], list[Instruction]]:
-    """Table specs plus the prologue stores that materialize them.
+def gen_luts(cfg: DplConfig, ops_used) -> list[Instruction]:
+    """The prologue stores that materialize the tables of ops_used.
 
     Each operator keeps a fixed slot (and, orr, xor in order) so table
-    addresses do not depend on which operators a program happens to use.
-    Only the regions holding used tables are emitted, every cell of an
-    emitted region gets exactly one store, and in compact mode tables
-    interleave on the free low bit(s) of a shared region.
+    addresses (``cfg.table_base``) do not depend on which operators a
+    program happens to use.  Only the regions holding used tables are
+    emitted, every cell of an emitted region gets exactly one store (the
+    encoded result at a valid packed index, poison 0 elsewhere), and in
+    compact mode tables interleave on the free low bit(s) of a shared
+    region.
     """
     cfg.validate()
     ops = [op for op in LOGICAL_OPS if op in ops_used]
-    specs = []
-    regions = set()
-    for op in ops:
-        base = cfg.table_base(op)
-        regions.add(LOGICAL_OPS.index(op) // cfg.tables_per_region)
-        slot = (base - cfg.lut_base) % cfg.region_size
-        stride = cfg.tables_per_region
-        entries = {}
-        for off in range(0, cfg.region_size - slot, stride):
-            entries[off] = 0
-        for a in (0, 1):
-            for b in (0, 1):
-                entries[cfg.pack(cfg.encode(a), cfg.encode(b))] = cfg.encode(OPS[op].fn(a, b, 1))
-        specs.append(LutSpec(op, base, entries))
-    covered = {spec.base + off: spec.entries[off] for spec in specs for off in spec.entries}
+    cells = {
+        cfg.table_base(op) + cfg.pack(cfg.encode(a), cfg.encode(b)): cfg.encode(OPS[op].fn(a, b, 1))
+        for op in ops
+        for a in (0, 1)
+        for b in (0, 1)
+    }
     stores = []
-    for region in sorted(regions):
+    for region in sorted({LOGICAL_OPS.index(op) // cfg.tables_per_region for op in ops}):
         lo = cfg.lut_base + region * cfg.region_size
         for addr in range(lo, lo + cfg.region_size):
-            stores.append(Instruction("mov", (MemDirect(addr), Immediate(covered.get(addr, 0)))))
-    return specs, stores
+            stores.append(Instruction("mov", (MemDirect(addr), Immediate(cells.get(addr, 0)))))
+    return stores
 
 
 def classify(p: Program) -> tuple[dict[int, str], list[str]]:
@@ -275,16 +258,6 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
     return actions, warnings
 
 
-def _scratch_free(op, cfg: DplConfig, what: str) -> None:
-    reg = None
-    if isinstance(op, Register):
-        reg = op.index
-    elif isinstance(op, MemIndirect):
-        reg = op.base.index
-    if reg in cfg.reserved:
-        raise TransformError(f"{what} uses reserved register r{reg}")
-
-
 def _encode_value_operand(op, cfg: DplConfig):
     if isinstance(op, Immediate):
         return Immediate(cfg.encode(op.value))
@@ -293,7 +266,7 @@ def _encode_value_operand(op, cfg: DplConfig):
 
 @lru_cache(maxsize=64)
 def _macro_frame(cfg: DplConfig, opcode: str):
-    """The operand-independent runs of expand_macro's output: built once
+    """The operand-independent runs of _expand_macro's output: built once
     per (cfg, opcode) and shared by every macro (instructions are frozen)."""
     r1, r2, r3 = (Register(i) for i in cfg.scratch)
     r0 = Register(ZERO_REG)
@@ -313,17 +286,14 @@ def _macro_frame(cfg: DplConfig, opcode: str):
     return precharge, pack_a, fetch
 
 
-def expand_macro(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
+def _expand_macro(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     """The DPL macro for ``op d a b``: load and mask both encoded operands,
     stack them into the table index, fetch, and copy out - precharging every
-    destination first.  13 instructions for adjacent rails (two shifts)."""
-    if inst.opcode not in LOGICAL_OPS:
-        raise TransformError(f"cannot expand {inst.opcode}")
+    destination first.  13 instructions for adjacent rails (two shifts).
+    The operands must be clear of ``cfg.reserved``, as transform checks."""
     d, a, b = inst.operands
     r1, r2, r3 = (Register(i) for i in cfg.scratch)
     r0 = Register(ZERO_REG)
-    for op, what in ((d, "destination"), (a, "operand"), (b, "operand")):
-        _scratch_free(op, cfg, what)
     precharge, pack_a, fetch = _macro_frame(cfg, inst.opcode)
     return [
         precharge,
@@ -336,7 +306,7 @@ def expand_macro(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     ]
 
 
-def rewrite_not(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
+def _rewrite_not(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     """``not d v`` on encoded data: xor with the rail mask swaps the rails.
 
     Routed through a precharged scratch register so both writes flip exactly
@@ -344,8 +314,6 @@ def rewrite_not(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     d, v = inst.operands
     r1 = Register(cfg.scratch[0])
     r0 = Register(ZERO_REG)
-    _scratch_free(d, cfg, "destination")
-    _scratch_free(v, cfg, "operand")
     if isinstance(v, Immediate):
         return [
             Instruction("mov", (d, r0)),
@@ -396,7 +364,7 @@ def place_tables(p: Program, cfg: DplConfig, mem_size: int) -> DplConfig:
     """cfg with lut_base at the lowest aligned base whose tables for p fit
     below mem_size and touch no cell p declares or may address
     (``_used_cells``).  cfg itself when p needs no tables."""
-    stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p, classify(p)[0]))[1]
+    stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p, classify(p)[0]))
     offsets = [s.operands[0].address for s in stores]
     if not offsets:
         return cfg
@@ -411,7 +379,8 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
     """Full program rewrite: prologue (zero register, table stores) followed
     by each source instruction kept, not-rewritten, or macro-expanded in
     order.  Labels and directives stay anchored to the first emitted line of
-    their instruction's expansion."""
+    their instruction's expansion; an absolute ``#N`` target moves to the
+    first instruction emitted for source instruction N."""
     cfg.validate()
     actions, warnings = classify(p)
 
@@ -419,7 +388,7 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
     if clash:
         raise TransformError(f"program already uses reserved register(s) {sorted(clash)}")
 
-    specs, stores = gen_luts(cfg, _ops_used(p, actions))
+    stores = gen_luts(cfg, _ops_used(p, actions))
     lut_bytes = len(stores)
     if lut_bytes:
         reserved_cells = {s.operands[0].address for s in stores}
@@ -430,60 +399,51 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
                 f"overlap program cells {sorted(overlap)[:8]}"
             )
 
+    # each source instruction's expansion, and where it starts in the output
+    bodies = []
+    absolute = []  # kept jumps and branches to a #N target
+    expanded = skipped = 0
+    for idx, inst in enumerate(p.instructions):
+        act = actions[idx]
+        if act == EXPAND:
+            bodies.append(_expand_macro(inst, cfg))
+            expanded += 1
+        elif act == REWRITE_NOT:
+            bodies.append(_rewrite_not(inst, cfg))
+            expanded += 1
+        else:
+            bodies.append([inst])
+            if inst.opcode in LOGICAL_OPS or inst.opcode == "not":
+                skipped += 1
+            elif OPS[inst.opcode].kind in ("jump", "branch") and inst.operands[-1].index is not None:
+                absolute.append(idx)
+    start = [1 + lut_bytes]
+    for body in bodies:
+        start.append(start[-1] + len(body))
+    for idx in absolute:
+        inst = p.instructions[idx]
+        target = inst.operands[-1].index
+        if not 0 <= target < len(start):
+            raise TransformError(f"instruction {idx}: branch target {target} out of range")
+        bodies[idx] = [Instruction(inst.opcode, inst.operands[:-1] + (AddressRef(index=start[target]),))]
+
     out_lines = [Line(None, Instruction("mov", (Register(ZERO_REG), Immediate(0))), PROLOGUE_TAG)]
     out_lines += [Line(None, s, PROLOGUE_TAG) for s in stores]
-
-    expanded = skipped = 0
-    idx = 0
-    new_index: dict[int, int] = {}  # source instruction index -> transformed index
-    emitted_so_far = len(out_lines)
+    bodies_in_order = iter(bodies)
     for ln in p.lines:
         if ln.instruction is None:
             out_lines.append(ln)
             continue
-        new_index[idx] = emitted_so_far
-        act = actions[idx]
-        if act == EXPAND:
-            emitted = expand_macro(ln.instruction, cfg)
-            expanded += 1
-        elif act == REWRITE_NOT:
-            emitted = rewrite_not(ln.instruction, cfg)
-            expanded += 1
-        else:
-            emitted = [ln.instruction]
-            if ln.instruction.opcode in LOGICAL_OPS or ln.instruction.opcode == "not":
-                skipped += 1
-        out_lines.append(Line(ln.label, emitted[0], ln.directive))
-        out_lines += [Line(None, e, None) for e in emitted[1:]]
-        emitted_so_far += len(emitted)
-        idx += 1
-    new_index[idx] = emitted_so_far  # halt target
+        body = next(bodies_in_order)
+        out_lines.append(Line(ln.label, body[0], ln.directive))
+        out_lines += [Line(None, e, None) for e in body[1:]]
 
-    out_lines = [_remap_absolute(ln, new_index) for ln in out_lines]
     n_in = len(p.instructions)
-    n_out = emitted_so_far
     report = TransformReport(
         expanded_count=expanded,
         skipped_count=skipped,
         lut_bytes=lut_bytes,
-        code_growth_ratio=(n_out / n_in) if n_in else 1.0,
+        code_growth_ratio=(start[-1] / n_in) if n_in else 1.0,
         warnings=warnings,
     )
     return Program(tuple(out_lines)), report
-
-
-def _remap_absolute(ln: Line, new_index: dict[int, int]) -> Line:
-    """Absolute ``#N`` branch targets point at source instruction indices;
-    move them to the first instruction of that source line's expansion."""
-    inst = ln.instruction
-    if inst is None or OPS[inst.opcode].kind not in ("jump", "branch"):
-        return ln
-    ops = tuple(
-        AddressRef(index=new_index[op.index])
-        if isinstance(op, AddressRef) and op.index is not None
-        else op
-        for op in inst.operands
-    )
-    if ops == inst.operands:
-        return ln
-    return Line(ln.label, Instruction(inst.opcode, ops), ln.directive)

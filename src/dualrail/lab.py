@@ -83,7 +83,6 @@ class TraceSet:
     traces: np.ndarray  # (n_runs, n_cycles) float32
     plaintexts: np.ndarray  # (n_runs,) uint64
     fixed_key: int | None
-    seed: object
     cycle_offset: int = 0  # absolute cycle of the first trace column
 
     def __post_init__(self):
@@ -184,11 +183,10 @@ def _synth(
     # the noise
     del res, mem
     out = []
-    for seed, rng, p, t in zip(seeds, rngs, pts, traces):
+    for rng, p, t in zip(rngs, pts, traces):
         if model.noise_sigma > 0:
             t += rng.normal(0.0, model.noise_sigma, size=t.shape).astype(np.float32)
-        out.append(TraceSet(traces=t, plaintexts=p, fixed_key=int(key), seed=seed,
-                            cycle_offset=offset))
+        out.append(TraceSet(traces=t, plaintexts=p, fixed_key=int(key), cycle_offset=offset))
     return out
 
 
@@ -478,5 +476,4 @@ def load_traces(path) -> TraceSet:
         traces=rows["t"],
         plaintexts=rows["pt"].astype(np.uint64),
         fixed_key=None,
-        seed=None,
     )

@@ -232,20 +232,16 @@ def present_program(slot: int = 0) -> str:
 
 
 def _bit_matrix(values, n_bits: int) -> np.ndarray:
-    """(n_bits, n) 0/1 matrix of the little-endian bits of each value."""
-    if n_bits <= 64:
-        vals = np.asarray(
-            [int(v) for v in values] if not isinstance(values, np.ndarray) else values,
-            dtype=np.uint64,
-        )
-        shifts = np.arange(n_bits, dtype=np.uint64)[:, None]
-        return ((vals[None, :] >> shifts) & np.uint64(1)).astype(np.uint8)
-    out = np.zeros((n_bits, len(values)), dtype=np.uint8)
-    for col, v in enumerate(values):
-        v = int(v)
-        for j in range(n_bits):
-            out[j, col] = (v >> j) & 1
-    return out
+    """(n_bits, n) 0/1 matrix of the little-endian bits of each value, read
+    64 bits at a time: a uint64 array as it is, ints as 64-bit words."""
+    if isinstance(values, np.ndarray) and n_bits <= 64:
+        words = np.asarray(values, dtype=np.uint64)[None, :]
+    else:
+        ints = [int(v) for v in values]
+        words = np.array([[(v >> lo) & MASK64 for v in ints] for lo in range(0, n_bits, 64)], dtype=np.uint64)
+    shifts = np.arange(64, dtype=np.uint64)[:, None]
+    bits = (words[:, None, :] >> shifts) & np.uint64(1)
+    return bits.reshape(-1, words.shape[1])[:n_bits].astype(np.uint8)
 
 
 def corpus_init(

@@ -1,6 +1,9 @@
 """Shared fixtures: the cipher corpus is expensive to build, so parsed and
 transformed versions are constructed once per session."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from dualrail.asm import parse, resolve
@@ -9,6 +12,15 @@ from dualrail.present import LABEL_SBOX, loop_iteration_window, present_program
 
 #: fixed key used across attack tests (arbitrary, hex-memorable)
 TEST_KEY = 0x133457799BBCDFF1AABB
+
+def netlist_generator():
+    """``generate`` of the benchmark's seeded gate netlists (perfbench/netlist.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "netlist.py"
+    spec = importlib.util.spec_from_file_location("netlist", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate
+
 
 #: one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES: list[str] = []

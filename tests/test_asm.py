@@ -21,7 +21,8 @@ from dualrail.asm import (
     ParseError,
     Program,
     Register,
-    _check_ranges,
+    WORD_BITS,
+    WORD_MASK,
     parse,
     print_program,
     resolve,
@@ -109,6 +110,7 @@ def test_tag_attaches_to_instruction():
         "mov r1 @x\n",  # bad address
         "mov r1 #010\n",  # leading zero: int(tok, 0) rejects it
         "mov r1 r\u00b2\n",  # a digit that is not decimal
+        "mov r1 !@5\n",  # indirect through a cell: no base register
     ],
 )
 def test_parse_errors(bad):
@@ -227,6 +229,27 @@ def test_round_trip_property(rows):
 
 
 # -- resolve against a per-operand reference --------------------------------
+
+
+def _check_ranges(op, shift, where, n_regs, mem_size):
+    """The bound of one operand, and the LinkError message that breaks it."""
+    if isinstance(op, Register):
+        if not 0 <= op.index < n_regs:
+            raise LinkError(f"{where}: register r{op.index} out of range")
+    elif isinstance(op, MemDirect):
+        if not 0 <= op.address < mem_size:
+            raise LinkError(f"{where}: address @{op.address} out of range")
+    elif isinstance(op, Immediate):
+        if shift:
+            if not 0 <= op.value <= WORD_BITS:
+                raise LinkError(f"{where}: shift count {op.value} out of range")
+        elif not 0 <= op.value <= WORD_MASK:
+            raise LinkError(f"{where}: immediate {op.value} does not fit {WORD_BITS} bits")
+    elif isinstance(op, MemIndirect):
+        if not 0 <= op.base.index < n_regs:
+            raise LinkError(f"{where}: register r{op.base.index} out of range")
+        if not 0 <= op.offset < mem_size:
+            raise LinkError(f"{where}: indirect offset {op.offset} out of range")
 
 
 def _resolve_reference(p, n_regs, mem_size):

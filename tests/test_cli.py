@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dualrail import cli, present
+from dualrail.asm import resolve
 from dualrail.lab import TraceSet, save_traces
 
 GATE = ";@sensitive @100-101\n;@output @102\nand @102 @100 @101\n"
@@ -38,6 +39,40 @@ def test_lint_only(capsys, gate_file):
     assert code == cli.EXIT_OK
     assert rep["lint"]["instructions"] == 1
     assert set(rep) == {"lint"}
+
+
+@pytest.mark.parametrize("flags", [["-l"], ["-d"], ["-d", "-v"], ["-s"]])
+@pytest.mark.parametrize("text, error", [
+    ("mov r40 @1\n", "instruction 0 (mov): register r40 out of range"),
+    ("mov r2 @1100\n", "instruction 0 (mov): address @1100 out of range"),
+])
+def test_lint_links_the_source(capsys, tmp_path, flags, text, error):
+    # the error names the source instruction, before any stage runs
+    p = tmp_path / "prog.asm"
+    p.write_text(text)
+    code, rep = _run(capsys, [*flags, str(p)])
+    assert (code, rep) == (cli.EXIT_PARSE, {"lint": {"error": error}})
+    code, rep = _run(capsys, [*flags, "-r", "41", "-m", "1101", str(p)])
+    assert code == cli.EXIT_OK and rep["lint"]["ok"]
+
+
+def test_transform_links_its_output(capsys, gate_file):
+    code, rep = _run(capsys, ["-d", "-la", "2048", gate_file])
+    assert code == cli.EXIT_TRANSFORM
+    assert rep["transform"]["error"] == "instruction 1 (mov): address @2048 out of range"
+
+
+def test_pipeline_links_source_and_output_once(capsys, gate_file, monkeypatch):
+    linked = []
+
+    def counted(program, **kw):
+        linked.append(len(program.instructions))
+        return resolve(program, **kw)
+
+    monkeypatch.setattr(cli, "resolve", counted)
+    code, rep = _run(capsys, ["-d", "-v", "-s", gate_file])
+    assert code == cli.EXIT_OK and rep["verify"]["verdict"] == "balanced"
+    assert linked == [1, 30]  # the source, then the transform's output
 
 
 def test_parse_error(capsys, tmp_path):
@@ -255,7 +290,7 @@ def test_missing_file(capsys):
 def _trace_file(tmp_path, n_runs=4, n_cycles=10):
     path = tmp_path / "t.bin"
     save_traces(path, TraceSet(np.zeros((n_runs, n_cycles)), np.arange(n_runs, dtype=np.uint64),
-                               fixed_key=None, seed=None))
+                               fixed_key=None))
     return path
 
 
@@ -377,7 +412,7 @@ FAILURES = [
                  id="lab-success-rate-no-attacks"),
     # inputs that once ended in a traceback
     pytest.param(["-d", "badloc.asm"], "parse", id="bad-directive-location"),
-    pytest.param(["-v", "mem5000.asm"], "verify", id="verify-sensitive-cell-out-of-range"),
+    pytest.param(["-v", "mem5000.asm"], "lint", id="verify-sensitive-cell-out-of-range"),
     pytest.param(["equiv", "r40.asm", "r40.asm"], "equivalence", id="equiv-sensitive-register-out-of-range"),
     pytest.param(["lab", "nicv", "-i", "huge.bin"], "lab", id="trace-header-larger-than-file"),
     pytest.param(["lab", "nicv", "-i", "wide.bin"], "lab", id="nicv-trace-of-16-bit-words"),
@@ -386,8 +421,8 @@ FAILURES = [
     pytest.param(["-l", "leadzero.asm"], "parse", id="parse-leading-zero"),
     pytest.param(["-d", "-bf", "-1", "-bt", "-2", "gate.asm"], "transform",
                  id="transform-negative-rails"),
-    pytest.param(["-v", "out5000.asm"], "verify", id="verify-output-cell-out-of-range"),
-    pytest.param(["-s", "r40.asm"], "simulate", id="simulate-sensitive-register-out-of-range"),
+    pytest.param(["-v", "out5000.asm"], "lint", id="verify-output-cell-out-of-range"),
+    pytest.param(["-s", "r40.asm"], "lint", id="simulate-sensitive-register-out-of-range"),
 ]
 
 

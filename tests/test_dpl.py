@@ -10,10 +10,8 @@ from dualrail.dpl import (
     PROLOGUE_TAG,
     ZERO_REG,
     TransformError,
-    expand_macro,
     gen_luts,
     place_tables,
-    rewrite_not,
     transform,
 )
 from dualrail.equivalence import DplStateMap, check
@@ -108,62 +106,62 @@ def test_decode_rejects_invalid():
 # -- tables -----------------------------------------------------------------
 
 
+def _cells(cfg, ops):
+    """Address -> value of each prologue table store."""
+    return {s.operands[0].address: s.operands[1].value for s in gen_luts(cfg, ops)}
+
+
 def test_lut_entries_canonical():
-    specs, _ = gen_luts(CANON, ALL_OPS)
-    by_op = {s.op: s for s in specs}
+    cells = _cells(CANON, ALL_OPS)
+    at = {op: [cells[CANON.table_base(op) + i] for i in (5, 6, 9, 10)] for op in ALL_OPS}
     # index 0101 -> a=1,b=1; 0110 -> a=1,b=0; 1001 -> a=0,b=1; 1010 -> a=0,b=0
-    assert [by_op["and"].entries[i] for i in (5, 6, 9, 10)] == [1, 2, 2, 2]
-    assert [by_op["orr"].entries[i] for i in (5, 6, 9, 10)] == [1, 1, 1, 2]
-    assert [by_op["xor"].entries[i] for i in (5, 6, 9, 10)] == [2, 1, 1, 2]
+    assert at["and"] == [1, 2, 2, 2]
+    assert at["orr"] == [1, 1, 1, 2]
+    assert at["xor"] == [2, 1, 1, 2]
 
 
 def test_lut_poison_is_zero():
-    specs, _ = gen_luts(CANON, ALL_OPS)
-    for s in specs:
-        valid = {CANON.pack(CANON.encode(a), CANON.encode(b))
-                 for a in (0, 1) for b in (0, 1)}
-        for off, val in s.entries.items():
-            if off not in valid:
-                assert val == 0
+    # every stored cell but the valid packed indices of the tables holds 0
+    valid = {CANON.table_base(op) + CANON.pack(CANON.encode(a), CANON.encode(b))
+             for op in ALL_OPS for a in (0, 1) for b in (0, 1)}
+    assert {addr for addr, val in _cells(CANON, ALL_OPS).items() if val} == valid
 
 
 def test_lut_correct_for_all_layouts():
     f_ = {"and": lambda a, b: a & b, "orr": lambda a, b: a | b, "xor": lambda a, b: a ^ b}
     for f, t in ADMISSIBLE:
         cfg = _cfg(f, t)
-        specs, _ = gen_luts(cfg, ALL_OPS)
-        for s in specs:
+        cells = _cells(cfg, ALL_OPS)
+        for op in ALL_OPS:
             for a in (0, 1):
                 for b in (0, 1):
-                    idx = cfg.pack(cfg.encode(a), cfg.encode(b))
-                    assert s.entries[idx] == cfg.encode(f_[s.op](a, b))
+                    idx = cfg.table_base(op) + cfg.pack(cfg.encode(a), cfg.encode(b))
+                    assert cells[idx] == cfg.encode(f_[op](a, b))
 
 
 def test_lut_region_per_used_op_only():
     # a program using only xor still addresses the fixed xor slot; the
     # prologue must cover that region, not the first one
-    specs, stores = gen_luts(CANON, {"xor"})
-    addrs = {s.operands[0].address for s in stores}
-    assert addrs == set(range(32, 48))
-    assert specs[0].base == 32
+    assert set(_cells(CANON, {"xor"})) == set(range(32, 48))
+    assert CANON.table_base("xor") == 32
 
 
 def test_lut_spans():
     # the prologue stores every cell of each region the three tables use
-    assert len(gen_luts(CANON, ALL_OPS)[1]) == 48
-    assert len(gen_luts(_cfg(2, 1), ALL_OPS)[1]) == 96
-    assert len(gen_luts(_cfg(2, 1, compact=True), ALL_OPS)[1]) == 64
-    assert len(gen_luts(_cfg(2, 0), ALL_OPS)[1]) == 192
+    assert len(gen_luts(CANON, ALL_OPS)) == 48
+    assert len(gen_luts(_cfg(2, 1), ALL_OPS)) == 96
+    assert len(gen_luts(_cfg(2, 1, compact=True), ALL_OPS)) == 64
+    assert len(gen_luts(_cfg(2, 0), ALL_OPS)) == 192
 
 
 def test_compact_interleaves_without_overlap():
     cfg = _cfg(2, 1, compact=True)
-    specs, stores = gen_luts(cfg, ALL_OPS)
+    stores = gen_luts(cfg, ALL_OPS)
     assert len(stores) == 64
     addrs = [s.operands[0].address for s in stores]
     assert len(addrs) == len(set(addrs))  # each cell stored exactly once
     # and/orr share region 0 on stride 2; xor sits alone in region 1
-    bases = {s.op: s.base for s in specs}
+    bases = {op: cfg.table_base(op) for op in ALL_OPS}
     assert bases["and"] == 0 and bases["orr"] == 1 and bases["xor"] == 32
 
 
@@ -185,49 +183,51 @@ GOLDEN_MACRO = [
 ]
 
 
+def _body(src, cfg):
+    """The instructions transform emits for src after its prologue."""
+    out, rep = transform(parse(src), cfg)
+    return list(out.instructions[1 + rep.lut_bytes:])
+
+
 def test_golden_macro_shape():
     # and-table base is 0 under the default config; a zero indexed-load
     # offset prints bare
-    cfg = DplConfig(scratch=(1, 2, 3))
-    inst = parse("and r6 r4 r5\n").instructions[0]
-    out = expand_macro(inst, cfg)
+    out = _body("and r6 r4 r5\n", DplConfig(scratch=(1, 2, 3)))
     assert [str(i) for i in out] == GOLDEN_MACRO
 
 
 def test_golden_macro_shape_uses_op_table():
     cfg = DplConfig(scratch=(1, 2, 3))
     for op, base in (("and", 0), ("orr", 16), ("xor", 32)):
-        out = expand_macro(parse(f"{op} r6 r4 r5\n").instructions[0], cfg)
+        out = _body(f"{op} r6 r4 r5\n", cfg)
         assert out[10].operands[1].offset == base
 
 
 def test_span3_macro_has_one_shift():
-    cfg = _cfg(2, 0, scratch=(1, 2, 3))
-    out = expand_macro(parse("and r6 r4 r5\n").instructions[0], cfg)
+    out = _body("and r6 r4 r5\n", _cfg(2, 0, scratch=(1, 2, 3)))
     assert len(out) == 12
     assert sum(1 for i in out if i.opcode == "lsl") == 1
     assert "#5" in str(out[2])  # mask 101b
 
 
 def test_appc_macro_mask_six():
-    cfg = _cfg(2, 1, scratch=(1, 2, 3))
-    out = expand_macro(parse("and r6 r4 r5\n").instructions[0], cfg)
+    out = _body("and r6 r4 r5\n", _cfg(2, 1, scratch=(1, 2, 3)))
     assert len(out) == 13
     assert "#6" in str(out[2])
 
 
 def test_macro_immediate_operands_encoded():
-    out = expand_macro(parse("xor r6 r4 #1\n").instructions[0], CANON)
+    out = _body("xor r6 r4 #1\n", CANON)
     loads = [i for i in out if i.opcode == "mov" and isinstance(i.operands[1], Immediate)]
     assert Immediate(CANON.encode(1)) in [i.operands[1] for i in loads]
 
 
 def test_macro_rejects_scratch_collision():
     cfg = DplConfig(scratch=(1, 2, 3))
-    with pytest.raises(TransformError):
-        expand_macro(parse("and r1 r4 r5\n").instructions[0], cfg)
-    with pytest.raises(TransformError):
-        expand_macro(parse("and r6 r0 r5\n").instructions[0], cfg)
+    with pytest.raises(TransformError, match=r"reserved register\(s\) \[1\]"):
+        transform(parse("and r1 r4 r5\n"), cfg)
+    with pytest.raises(TransformError, match=r"reserved register\(s\) \[0\]"):
+        transform(parse("and r6 r0 r5\n"), cfg)
 
 
 def test_macro_executes_and_correctly():
@@ -249,14 +249,13 @@ def test_macro_executes_and_correctly():
 
 
 def test_not_rewrite_swaps_rails():
-    insts = rewrite_not(parse("not r6 r4\n").instructions[0], CANON)
-    src = "mov r4 #1\n" + "".join(str(i) + "\n" for i in insts)
-    res = run(resolve(parse(src)))
+    out, _ = transform(parse("mov r4 #1\nnot r6 r4\n"), CANON)
+    res = run(resolve(out))
     assert res.final_state.registers[6] == 2  # encoded 1 -> encoded 0
 
 
 def test_not_of_literal_folds():
-    insts = rewrite_not(parse("not r6 #0\n").instructions[0], CANON)
+    insts = _body("not r6 #0\n", CANON)
     assert [i.opcode for i in insts] == ["mov", "mov"]
     assert insts[-1].operands[1] == Immediate(CANON.encode(1))
 
@@ -293,6 +292,18 @@ def test_transform_remaps_absolute_branch_targets():
     out, _ = transform(parse(src), CANON)
     jmp = [i for i in out.instructions if i.opcode == "jmp"][0]
     assert jmp.operands[0].index == 1  # prologue shifts the target
+    # targets before, at and after a 13-instruction macro, and the halt index
+    out, _ = transform(parse("and r6 r4 r5\nbeq r1 r2 #0\nnot r6 r4\njmp #2\nbne r1 r2 #5\n"), CANON)
+    start = 1 + 16
+    targets = [i.operands[-1].index for i in out.instructions if i.opcode in ("beq", "bne", "jmp")]
+    assert targets == [start, start + 13 + 1, start + 13 + 1 + 4 + 1 + 1]
+    assert len(out.instructions) == start + 13 + 1 + 4 + 1 + 1
+
+
+@pytest.mark.parametrize("target", [-1, 2])
+def test_transform_rejects_absolute_target_out_of_range(target):
+    with pytest.raises(TransformError, match=f"instruction 0: branch target {target} out of range"):
+        transform(parse(f"jmp #{target}\n"), CANON)
 
 
 def test_transform_public_gate_kept():

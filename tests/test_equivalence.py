@@ -82,6 +82,13 @@ def test_directive_mismatch_rejected():
         check(a, b, DplStateMap(CANON))
 
 
+def test_output_mismatch_rejected():
+    a = resolve(parse(";@sensitive @100\n;@output @102\nmov @102 @100\n"))
+    b = resolve(parse(";@sensitive @100\n;@output @103\nmov @103 @100\n"))
+    with pytest.raises(ValueError, match="output cell declarations differ"):
+        check(a, b, DplStateMap(CANON))
+
+
 def test_missing_outputs_rejected():
     a = resolve(parse(";@sensitive @100\nmov r4 @100\n"))
     with pytest.raises(ValueError):

@@ -9,8 +9,11 @@ from functools import cached_property
 
 import pytest
 
-from dualrail.asm import Program, parse, print_program, resolve
-from dualrail.dpl import DplConfig, transform
+from dualrail.asm import MEM_SIZE, Program, parse, print_program, resolve
+from dualrail.dpl import DplConfig, place_tables, transform
+from dualrail.present import present_program
+
+from conftest import netlist_generator
 
 #: registers the generated programs may use: r0 is the DPL zero register and
 #: r20-r22 are the macro scratch registers
@@ -154,3 +157,26 @@ GOLDEN_PRINT = "9cc2dcb3b49fda39f35b8299e78b74ca644ee1da76b1bfefe26cfc5840cefc82
 GOLDEN_RESOLVED = "e22cd54b8b45d965ed500e193b588c7c57687f13758856883a3a6ac099de004b"
 GOLDEN_REPORT = "8220b01e871cb02f1b07aa7efc6b600afdf674a6558da2abe1f3909c1a20c187"
 GOLDEN_SOURCE_RESOLVED = "8affc0ea8e40a7b35eb049ce5ff5f54a9a52c8b0f34b4cc3b4803d05b24bf635"
+
+
+def _present_placed(cfg):
+    """cfg with the tables placed for PRESENT, as ``dualrail -d`` without -la."""
+    return place_tables(parse(present_program(0)), cfg, MEM_SIZE)
+
+
+@pytest.mark.parametrize("source, cfg, pin", [
+    pytest.param(lambda: present_program(0), lambda: DplConfig(lut_base=768),
+                 "eb3e9a671fb4f124b24c18e4c34f89662270c3907b99773e3ba6bb3b0f9cbcd5", id="present"),
+    pytest.param(lambda: present_program(0), lambda: _present_placed(DplConfig(bit_f=2, bit_t=1, compact=True)),
+                 "ddd04df8d879c23a55f824e37b21504bd8ec72ce1e9221285bdc324e53de102d", id="present-bf2-bt1-cl"),
+    pytest.param(lambda: netlist_generator()(1, gates=250), lambda: DplConfig(lut_base=768),
+                 "97b88c94fcdc3b2e8a13e4c0369e8b2993655ff4ae686639146c81f745eacf4d", id="netlist-250"),
+    pytest.param(lambda: netlist_generator()(1, gates=4000), lambda: DplConfig(lut_base=768),
+                 "3734ccd35935f2cd10e648558fddaeea3c4ce904f409411c739dd2f5e4a1a397", id="netlist-4000"),
+])
+def test_transform_output_pinned(source, cfg, pin):
+    """Values recorded before the table specs, the macros' own reserved
+    register checks and the whole-output branch remap were removed: the
+    printed rewrite must stay byte for byte what it was."""
+    out, _ = transform(parse(source()), cfg())
+    assert _sha(print_program(out)) == pin

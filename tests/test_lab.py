@@ -42,7 +42,6 @@ def _ts(traces, plaintexts, key=None):
         traces=np.asarray(traces, dtype=np.float32),
         plaintexts=np.asarray(plaintexts, dtype=np.uint64),
         fixed_key=key,
-        seed=0,
     )
 
 
@@ -112,9 +111,9 @@ def test_nicv_layout_and_chunks_agree(monkeypatch):
     ) / n
     total = x.var(axis=0)
     ref = np.where(total > 0, between / np.where(total > 0, total, 1.0), 0.0)
-    got = [nicv(TraceSet(m, pts, None, 0), classify) for m in (t, np.asfortranarray(t))]
+    got = [nicv(TraceSet(m, pts, None), classify) for m in (t, np.asfortranarray(t))]
     monkeypatch.setattr(lab, "NICV_CHUNK_BYTES", 8 * n * 7)  # 7 cycles per chunk
-    got.append(nicv(TraceSet(t, pts, None, 0), classify))
+    got.append(nicv(TraceSet(t, pts, None), classify))
     for g in got:
         np.testing.assert_allclose(g, ref, rtol=1e-12, atol=0)
         assert g[3] == 0.0
@@ -268,7 +267,7 @@ def test_class_statistics_match_direct_formulas(n, monkeypatch):
     for chunk in (lab.NICV_CHUNK_BYTES, 8 * n * 7):  # one chunk, then 7 cycles per chunk
         monkeypatch.setattr(lab, "NICV_CHUNK_BYTES", chunk)
         for m in (t, np.asfortranarray(t)):
-            ts = TraceSet(m, pts, TEST_KEY, 0)
+            ts = TraceSet(m, pts, TEST_KEY)
             for nibble in (0, 3):
                 classify = nibble_classifier(nibble)
                 got = nicv(ts, classify)
@@ -433,6 +432,16 @@ def test_profile_outlier_bit_steers_recommendation():
     assert prof.recommended_rails == (2, 1)
 
 
+def test_profile_falls_back_to_the_closest_pair(monkeypatch):
+    # no two admissible scores lie within 3/sqrt(n) = 1.5: the pair with
+    # the smallest difference, (2, 3) at 5, wins over the first pair
+    scores = iter([0.0, 10.0, 30.0, 35.0, 70.0, 100.0, 150.0, 210.0])
+    monkeypatch.setattr(lab, "nicv", lambda ts, classify: np.array([next(scores)]))
+    prof = profile_bits(LeakModel(), n=4, seed=0)
+    assert prof.recommended == (2, 3)
+    assert prof.ranking == (7, 6, 5, 4, 3, 2, 1, 0)
+
+
 # -- trace file I/O ---------------------------------------------------------
 
 
@@ -475,7 +484,7 @@ def test_trace_file_bytes_unchanged(tmp_path, n_runs, n_cycles):
     # a transposed column slice, as the trace sets of one batch view it
     wide = rng.normal(size=(n_cycles, 2 * n_runs)).astype(np.float32)
     for traces in (dense, wide[:, n_runs:].T):
-        ts = TraceSet(traces, pts, fixed_key=None, seed=None)
+        ts = TraceSet(traces, pts, fixed_key=None)
         old, new = tmp_path / "old.bin", tmp_path / "new.bin"
         _save_traces_per_row(old, ts)
         # the default chunk, then two rows a chunk: 7 rows go out in four
@@ -487,6 +496,13 @@ def test_trace_file_bytes_unchanged(tmp_path, n_runs, n_cycles):
         back = load_traces(old)
         assert np.array_equal(back.traces, ts.traces) and back.traces.dtype == np.float32
         assert np.array_equal(back.plaintexts, ts.plaintexts) and back.plaintexts.dtype == np.uint64
+
+
+def test_load_rejects_unknown_version(tmp_path):
+    path = tmp_path / "v2.bin"
+    path.write_bytes(b"DPLT" + struct.pack("<IIII", 2, 1, 1, WORD_BITS) + bytes(12))
+    with pytest.raises(LabError, match="unsupported trace file version 2"):
+        load_traces(path)
 
 
 def test_load_rejects_other_word_width(tmp_path):

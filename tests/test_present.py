@@ -211,3 +211,14 @@ def test_corpus_init_places_the_bits(cfg, per_run_keys):
         want[base : base + len(bits)] = cells << 5 if cfg is None else np.where(cells, cfg.encode(1), cfg.encode(0))
     assert mem.dtype == np.uint8 and mem.shape == (1024, len(pts))
     assert np.array_equal(mem, want)
+
+
+@pytest.mark.parametrize("cfg", [None, DplConfig()])
+def test_per_run_keys_equal_one_call_per_key(cfg):
+    # keys wider than 64 bits go through the same word split as a fixed key
+    rng = np.random.default_rng(11)
+    pts = [int(v) for v in rng.integers(0, 2**63, 6, dtype=np.uint64)] + [2**64 - 1]
+    keys = [int.from_bytes(rng.bytes(10), "little") for _ in pts[:-2]] + [0, 2**80 - 1]
+    mem = corpus_init(pts, keys, cfg=cfg)
+    one_per_key = [corpus_init([p], k, cfg=cfg) for p, k in zip(pts, keys)]
+    assert np.array_equal(mem, np.hstack(one_per_key))

@@ -2,13 +2,11 @@
 and concrete cross-validation."""
 
 import hashlib
-import importlib.util
 import inspect
 import json
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from itertools import product
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +26,8 @@ from dualrail.verifier import (
     verify,
 )
 from dualrail.vector_machine import batch_run
+
+from conftest import netlist_generator
 
 CANON = DplConfig()
 
@@ -417,14 +417,6 @@ def test_memo_keeps_an_address_past_the_memory_an_error():
 # -- cached set algebra -----------------------------------------------------
 
 
-def _netlist_generator():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "netlist.py"
-    spec = importlib.util.spec_from_file_location("netlist", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.generate
-
-
 @pytest.mark.parametrize("gates, pin", [
     (250, "89e6ac30bf9c5e81c2b6523ef56c04339dbe945872d606640db215d7da115418"),
     (4000, "89f46317bf7d63094297c06539c291075c65fe59a9a1bc534f2a9612decb795f"),
@@ -432,7 +424,7 @@ def _netlist_generator():
 def test_netlist_reports_pinned(gates, pin, canonical_cfg):
     # straight-line DPL code, where no pc is revisited: sha256 of the
     # report JSON of the seed-1 benchmark netlist
-    out, _ = transform(parse(_netlist_generator()(1, gates=gates)), canonical_cfg)
+    out, _ = transform(parse(netlist_generator()(1, gates=gates)), canonical_cfg)
     rep = verify(resolve(out), cfg=canonical_cfg)
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == pin
 
