@@ -216,10 +216,14 @@ def _parse_range(text: str, limit: int, what: str) -> range:
 
 
 def _parse_key(text: str) -> int:
+    """An 80-bit PRESENT key in hex."""
     try:
-        return int(text, 16)
+        key = int(text, 16)
     except ValueError:
         raise ValueError(f"bad key {text!r}: expected hex") from None
+    if not 0 <= key < 1 << 80:
+        raise ValueError(f"bad key {text!r}: outside [0, 2**80)")
+    return key
 
 
 def _parse_weights(text):
@@ -323,6 +327,11 @@ def _stage_transform(linked, args, report: dict):
 def _stage_verify(linked, args, report: dict) -> None:
     br = verify(linked, cfg=_config_from(args))
     report["verify"] = json.loads(br.to_json())
+    report["verify"]["memo"] = {
+        "stepped": br.stepped,
+        "pc_replayed": br.pc_replayed,
+        "block_replayed": br.block_replayed,
+    }
     if br.verdict != "balanced":
         raise CliError("verify", f"verdict {br.verdict}")
 

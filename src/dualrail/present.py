@@ -231,13 +231,18 @@ def present_program(slot: int = 0) -> str:
 # -- batch input/output packing ---------------------------------------------
 
 
-def _bit_matrix(values, n_bits: int) -> np.ndarray:
+def _bit_matrix(values, n_bits: int, what: str) -> np.ndarray:
     """(n_bits, n) 0/1 matrix of the little-endian bits of each value, read
-    64 bits at a time: a uint64 array as it is, ints as 64-bit words."""
-    if isinstance(values, np.ndarray) and n_bits <= 64:
+    64 bits at a time: an unsigned array as it is, ints as 64-bit words.
+    Raises ValueError for an int outside [0, 2**n_bits), naming it `what`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "u" and n_bits <= 64:
         words = np.asarray(values, dtype=np.uint64)[None, :]
     else:
         ints = [int(v) for v in values]
+        limit = 1 << n_bits
+        bad = [v for v in ints if not 0 <= v < limit]
+        if bad:
+            raise ValueError(f"{what} {bad[0]:#x} is outside [0, 2**{n_bits})")
         words = np.array([[(v >> lo) & MASK64 for v in ints] for lo in range(0, n_bits, 64)], dtype=np.uint64)
     shifts = np.arange(64, dtype=np.uint64)[:, None]
     bits = (words[:, None, :] >> shifts) & np.uint64(1)
@@ -256,19 +261,20 @@ def corpus_init(
 
     `keys` may be a single integer (fixed key for the whole batch) or one
     key per run.  With a dual-rail `cfg`, input bits are rail-encoded;
-    otherwise they are placed at bit position `slot`.
+    otherwise they are placed at bit position `slot`.  Raises ValueError
+    for a key outside [0, 2**80) or a plaintext outside [0, 2**64).
     """
     pts = plaintexts if isinstance(plaintexts, np.ndarray) else list(plaintexts)
     n = len(pts)
     mem = np.zeros((mem_size, n), dtype=np.uint8)
-    pbits = _bit_matrix(pts, 64)
+    pbits = _bit_matrix(pts, 64, "plaintext")
     if isinstance(keys, int):
-        kbits = _bit_matrix([keys], 80)  # one column, broadcast to every run
+        kbits = _bit_matrix([keys], 80, "key")  # one column, broadcast to every run
     else:
         ks = list(keys)
         if len(ks) != n:
             raise ValueError("need one key per plaintext (or a single fixed key)")
-        kbits = _bit_matrix(ks, 80)
+        kbits = _bit_matrix(ks, 80, "key")
     for base, bits in ((P_IN, pbits), (K_IN, kbits)):
         rows = mem[base : base + len(bits)]
         if cfg is None:

@@ -256,6 +256,20 @@ def test_lab_trace_nicv_cpa_chain(capsys, tmp_path):
     assert rep["cpa"]["success"] in (True, False)
 
 
+@pytest.mark.parametrize("key", ["100000000000000000000005", "-5", "zz"])
+@pytest.mark.parametrize("command", ["traces", "success-rate", "cpa"])
+def test_lab_key_must_be_80_bit_hex(capsys, tmp_path, command, key):
+    # a key outside [0, 2**80) once lost its high bits and ran
+    argv = {
+        "traces": ["corpus/present80.asm", "-o", str(tmp_path / "t.bin"), "-n", "2"],
+        "success-rate": ["corpus/present80.asm", "-grid", "2", "-attacks", "1"],
+        "cpa": ["-i", str(_trace_file(tmp_path))],
+    }[command]
+    code, rep = _run(capsys, ["lab", command, *argv, f"-key={key}"])
+    assert (code, list(rep)) == (cli.EXIT_SIMULATE, ["lab"])
+    assert rep["lab"]["error"].startswith(f"bad key {key!r}:")
+
+
 def test_lab_nicv_csv_output(capsys, tmp_path):
     tr = tmp_path / "t.bin"
     assert cli.main(

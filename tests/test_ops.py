@@ -132,9 +132,9 @@ def test_concrete_observations_lie_in_verifier_sets(prog):
 @given(_body(), st.integers(2, 3))
 def test_concrete_observations_lie_in_verifier_sets_of_a_loop(prog, passes):
     """The same property with the body in a public counted loop, whose
-    later passes replay memoised steps; the report also equals that of
-    stepping every instruction cold (no pc ever gets a key reader), and so
-    does the final state."""
+    later passes replay memoised steps and blocks; the report also equals
+    that of stepping every instruction cold (no pc or block ever gets a key
+    reader), and so does the final state."""
     body, sensitive = prog
     # r8 is the loop counter: no generated instruction touches it
     looped = [f"top: {body[0]}", *body[1:], "add r8 r8 #1 ;@public", f"bne r8 #{passes} top"]
@@ -142,6 +142,6 @@ def test_concrete_observations_lie_in_verifier_sets_of_a_loop(prog, passes):
     rep = _check_observations(lp, sensitive, lambda cycle: cycle % len(looped))
     memo, cold = symbolic_init(lp), symbolic_init(lp)
     verify(lp, init=memo, cap=256)
-    with mock.patch.object(Verifier, "_key_reader", lambda self, idx: None):
+    with mock.patch.object(Verifier, "_key_reader", lambda self, start, stop: None):
         assert verify(lp, init=cold, cap=256).to_json() == rep.to_json()
     assert (memo.registers, memo.memory) == (cold.registers, cold.memory)

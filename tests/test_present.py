@@ -213,6 +213,20 @@ def test_corpus_init_places_the_bits(cfg, per_run_keys):
     assert np.array_equal(mem, want)
 
 
+@pytest.mark.parametrize("pts, keys, message", [
+    ([0], 2**80 + 5, "key 0x100000000000000000005 is outside"),
+    ([0], -5, "key -0x5 is outside"),
+    ([0, 1], [3, 2**80], "key 0x100000000000000000000 is outside"),
+    ([2**64 + 3], 0, "plaintext 0x10000000000000003 is outside"),
+    ([-1], 0, "plaintext -0x1 is outside"),
+    (np.array([-1], dtype=np.int64), 0, "plaintext -0x1 is outside"),
+])
+def test_corpus_init_refuses_values_wider_than_their_cells(pts, keys, message):
+    # once the high bits were dropped: 2**80 + 5 gave the memory of key 5
+    with pytest.raises(ValueError, match=message):
+        corpus_init(pts, keys)
+
+
 @pytest.mark.parametrize("cfg", [None, DplConfig()])
 def test_per_run_keys_equal_one_call_per_key(cfg):
     # keys wider than 64 bits go through the same word split as a fixed key

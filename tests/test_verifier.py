@@ -306,28 +306,38 @@ def test_corpus_reports_pinned(linked_unprotected, linked_dpl, canonical_cfg):
         assert hashlib.sha256(verify(lp, cfg=cfg).to_json().encode()).hexdigest() == pin
 
 
+def _cold(self, start, stop):
+    """A key reader that turns off both memos: no pc or block gets one."""
+    return None
+
+
 def _memo_vs_cold(src, **kw):
-    """verify() on src, and again with every step cold (no pc ever gets a
-    key reader): both must give the same report and final state.  Returns
-    the memoised run's report, its final state and the number of steps it
-    replayed instead of stepping."""
+    """verify() on src, and again with every step cold (no pc or block ever
+    gets a key reader): both must give the same report and final state.
+    Returns the memoised run's report, its final state and the number of
+    steps it replayed, by the pc memo or the block memo, instead of
+    stepping."""
     lp = resolve(parse(src))
-    step, cold_steps = Verifier.sym_step, []
+    step, stepped = Verifier.sym_step, []
 
     def counted(self, state):
-        cold_steps.append(state.pc)
-        return step(self, state)
+        findings = step(self, state)
+        stepped.append(state.pc)
+        return findings
 
     memo_state = symbolic_init(lp)
     with mock.patch.object(Verifier, "sym_step", counted):
         memo = verify(lp, init=memo_state, **kw)
     cold_state = symbolic_init(lp)
-    with mock.patch.object(Verifier, "_key_reader", lambda self, idx: None):
+    with mock.patch.object(Verifier, "_key_reader", _cold):
         cold = verify(lp, init=cold_state, **kw)
     assert memo.to_json() == cold.to_json()
     assert (memo_state.registers, memo_state.memory) == (cold_state.registers, cold_state.memory)
     assert (memo_state.pc, memo_state.cycle) == (cold_state.pc, cold_state.cycle)
-    return memo, memo_state, memo.cycles_verified - len(cold_steps)
+    assert (cold.stepped, cold.pc_replayed, cold.block_replayed) == (cold.cycles_verified, 0, 0)
+    assert memo.stepped == len(stepped)
+    assert memo.stepped + memo.pc_replayed + memo.block_replayed == memo.cycles_verified
+    return memo, memo_state, memo.pc_replayed + memo.block_replayed
 
 
 def test_memo_sees_a_register_turn_sensitive_on_a_later_pass():
@@ -414,6 +424,92 @@ def test_memo_keeps_an_address_past_the_memory_an_error():
         _verify_src(src)
 
 
+def test_dpl_present_replays_whole_blocks(linked_dpl, canonical_cfg):
+    # the counts repeat exactly; the block memo replays most loop passes, and
+    # the pc memo the steps of the blocks it misses
+    rep = verify(linked_dpl, cfg=canonical_cfg)
+    assert (rep.stepped, rep.pc_replayed, rep.block_replayed) == (3571, 1495, 163185)
+    assert rep.stepped + rep.pc_replayed + rep.block_replayed == rep.cycles_verified == 168251
+    assert rep.block_replayed >= 0.8 * rep.cycles_verified
+
+
+def _same_outcome(lp, patch, cfg=None, **kw):
+    """verify() on lp, and again under `patch`: both must give the same
+    report (its cycle count included), or the same error, and the same
+    final state."""
+    outcomes = []
+    for context in (nullcontext(), patch):
+        state = symbolic_init(lp, cfg)
+        with context:
+            try:
+                out = verify(lp, init=state, cfg=cfg, **kw).to_json()
+            except VerifierError as exc:
+                out = (type(exc), str(exc))
+        outcomes.append((out, state.registers, state.memory, state.pc, state.cycle))
+    assert outcomes[0] == outcomes[1]
+
+
+#: r8 counts the passes and no generated instruction writes it; r7 is an
+#: index the body computes; !r1,100 may store to a cell read directly, and
+#: !r2,1000 may read or store past the 1,024 cells
+_LOOP_REGS = ["r1", "r2", "r3", "r4", "r7"]
+_LOOP_CELLS = ["@100", "@101", "@102", "@103"]
+_LOOP_INDEXED = ["!r1,100", "!r7,100", "!r7,101", "!r2,1000"]
+_LOOP_OPS = sorted(o for o, s in OPS.items() if s.kind in ("unary", "binary"))
+
+
+@st.composite
+def _loop_program(draw):
+    """A counted loop whose body computes indexes (so an indexed operand
+    through r7 may end a block), stores through indexes that alias direct
+    reads and may skip part of itself on a public branch.  The body ends
+    in a jmp to the counter's block, so a pass whose body reads the sets of
+    an earlier one replays blocks that do not read the counter."""
+    sensitive = draw(st.lists(st.sampled_from(_LOOP_REGS + _LOOP_CELLS), min_size=1, max_size=2, unique=True))
+    operand = st.one_of(
+        st.sampled_from(_LOOP_REGS + _LOOP_CELLS + _LOOP_INDEXED),
+        st.integers(0, 255).map(lambda v: f"#{v}"),
+    )
+    body = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            src = draw(st.sampled_from(["r8", *_LOOP_REGS]))
+            body.append(f"and r7 {src} #{draw(st.sampled_from([1, 3, 255]))}")
+            continue
+        op = draw(st.sampled_from(_LOOP_OPS))
+        dest = draw(st.sampled_from(_LOOP_REGS + _LOOP_CELLS + _LOOP_INDEXED))
+        srcs = [draw(operand) for _ in range(OPS[op].arity - 1)]
+        if op in ("lsl", "lsr"):
+            srcs[-1] = draw(st.one_of(st.sampled_from(_LOOP_REGS), st.integers(0, 8).map(lambda v: f"#{v}")))
+        body.append(" ".join([op, dest, *srcs]))
+    branch = draw(st.integers(0, len(body)))
+    body.insert(branch, f"beq {draw(st.sampled_from(['r7', 'r8']))} #{draw(st.integers(0, 3))} skip")
+    passes = draw(st.integers(2, 10))
+    lines = [*body, "jmp next", "next: add r8 r8 #1 ;@public", f"bne r8 #{passes} top"]
+    target = draw(st.integers(branch + 1, len(body)))  # at most the jmp
+    lines[target] = f"skip: {lines[target]}"
+    lines[0] = f"top: {lines[0]}"
+    return "".join(f";@sensitive {loc}\n" for loc in sensitive) + "".join(f"{line}\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loop_program(), st.sampled_from([2, 4, 16]), st.one_of(st.just(MAX_STEPS), st.integers(1, 150)))
+# r7 takes r2's parity, which repeats every other pass, but @101, which r7
+# indexes on odd passes, changes on every pass: the block is cut before the
+# read, or its key would hold the cell at r7's entry value instead
+@example(";@sensitive r3\ntop: and r7 r2 #1\nmov r4 !r7,100\njmp next\n"
+         "next: xor r2 r2 #1\nadd @101 @101 #1\nadd r8 r8 #1 ;@public\nbne r8 #8 top\n", 16, MAX_STEPS)
+# a block miss whose steps replay from the pc memo still records their writes
+@example(";@sensitive r1\ntop: and r7 r8 #1\nbeq r7 #1 skip\nand r7 r8 #1\nskip: add r1 r1 r1\n"
+         "lsl r1 r1 r1\nand r7 r1 #1\nadd r1 r1 r1\njmp next\nnext: add r8 r8 #1 ;@public\nbne r8 #6 top\n",
+         2, MAX_STEPS)
+# a block that would run past the step limit is stepped up to it instead
+@example(";@sensitive r1\ntop: add r1 r1 r1\nbeq r7 #0 skip\nskip: and r7 r8 #1\nand r7 r8 #1\nadd r1 r1 r1\n"
+         "add r1 r1 r1\nadd r1 r1 r1\njmp next\nnext: add r8 r8 #1 ;@public\nbne r8 #5 top\n", 2, 41)
+def test_memos_do_not_change_a_report(src, cap, max_steps):
+    _same_outcome(resolve(parse(src)), mock.patch.object(Verifier, "_key_reader", _cold), cap=cap, max_steps=max_steps)
+
+
 # -- cached set algebra -----------------------------------------------------
 
 
@@ -448,16 +544,7 @@ def _cached_vs_uncached(lp, cfg=None, **kw):
             if type(cache) is dict:
                 setattr(self, name, _Forgetful())
 
-    outcomes = []
-    for patch in (nullcontext(), mock.patch.object(Verifier, "__init__", forgetful)):
-        state = symbolic_init(lp, cfg)
-        with patch:
-            try:
-                out = verify(lp, init=state, **kw).to_json()
-            except VerifierError as exc:
-                out = (type(exc), str(exc))
-        outcomes.append((out, state.registers, state.memory, state.pc, state.cycle))
-    assert outcomes[0] == outcomes[1]
+    _same_outcome(lp, mock.patch.object(Verifier, "__init__", forgetful), cfg, **kw)
 
 
 #: no destination is r1, so a store through it has one address unless r1
