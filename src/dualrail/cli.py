@@ -8,11 +8,14 @@ One binary, three entry points:
     there), then the opt-in dual-rail transform (``-d``), balance
     verification (``-v``) and concrete simulation (``-s``).  These take
     the linked program, or the transform's output, linked once.  A single
-    JSON document on stdout carries one report per executed stage.
+    JSON document on stdout carries one report per executed stage.  The
+    table and scratch flags ``-la``, ``-cl`` and ``-r1``-``-r3`` are the
+    transform's own: they are checked only when ``-d`` runs.
 
 ``dualrail equiv original.asm transformed.asm``
     Functional equivalence check between a program and its dual-rail
-    version over the declared ``;@sensitive`` inputs.
+    version over the declared ``;@sensitive`` inputs.  It, ``-v`` and
+    ``lab ... -dpl`` read only the rails of ``-bf``/``-bt``.
 
 ``dualrail lab {traces,nicv,cpa,success-rate,profile} ...``
     The measurement side: synthetic power traces, NICV maps, monobit
@@ -140,23 +143,24 @@ def _int_in(lo: int, hi: int):
 _COUNT = _int_in(1, math.inf)
 
 
-def _add_dpl_flags(ap: argparse.ArgumentParser) -> None:
+def _add_rail_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-bf", type=int, default=1, metavar="N",
                     help="bit position of the false rail (default 1)")
     ap.add_argument("-bt", type=int, default=0, metavar="N",
                     help="bit position of the true rail (default 0)")
+
+
+def _add_transform_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("-cl", action="store_true",
-                    help="compact the operator tables (overlap their zero entries)")
+                    help="with -d, compact the operator tables (overlap their zero entries)")
     ap.add_argument("-la", type=int, default=None, metavar="ADDR",
-                    help="base memory address of the operator tables (default 0; "
-                         "-d places them at the lowest aligned base clear of "
-                         "the program's cells)")
-    ap.add_argument("-r1", type=int, default=20, metavar="REG",
-                    help="first scratch register (default 20)")
-    ap.add_argument("-r2", type=int, default=21, metavar="REG",
-                    help="second scratch register (default 21)")
-    ap.add_argument("-r3", type=int, default=22, metavar="REG",
-                    help="third scratch register (default 22)")
+                    help="with -d, base memory address of the operator tables "
+                         "(default: the lowest aligned base clear of the "
+                         "program's cells)")
+    for n, reg in enumerate(DplConfig().scratch, 1):
+        ap.add_argument(f"-r{n}", type=int, default=reg, metavar="REG",
+                        help=f"with -d, scratch register {n}, from 0 to -r minus 1 "
+                             f"(default {reg})")
 
 
 def _add_machine_flags(ap: argparse.ArgumentParser) -> None:
@@ -173,18 +177,9 @@ def _add_adapter_flag(ap: argparse.ArgumentParser) -> None:
                          f"(one of: {', '.join(sorted(ADAPTERS))})")
 
 
-def _config_from(args) -> DplConfig:
-    for flag in ("r1", "r2", "r3"):
-        reg = getattr(args, flag)
-        if not 0 <= reg < args.r:
-            raise CliError("usage", f"argument -{flag}: {reg} is not from 0 to {args.r - 1} (-r)")
-    cfg = DplConfig(
-        bit_f=args.bf,
-        bit_t=args.bt,
-        lut_base=args.la or 0,
-        compact=args.cl,
-        scratch=(args.r1, args.r2, args.r3),
-    )
+def _rails_from(args) -> DplConfig:
+    """The rail encoding of -bf/-bt: all that -v, equiv and lab -dpl read."""
+    cfg = DplConfig(bit_f=args.bf, bit_t=args.bt)
     cfg.validate()
     return cfg
 
@@ -271,7 +266,8 @@ def _build_pipeline_parser() -> argparse.ArgumentParser:
                "'dualrail lab' runs trace synthesis and attacks.  "
                "See 'dualrail equiv -h' and 'dualrail lab -h'.",
     )
-    _add_dpl_flags(ap)
+    _add_rail_flags(ap)
+    _add_transform_flags(ap)
     _add_adapter_flag(ap)
     ap.add_argument("-o", metavar="FILE", default=None,
                     help="write the transformed program to FILE")
@@ -309,7 +305,12 @@ def _stage_lint(program, args, report: dict):
 @_stage("transform")
 def _stage_transform(linked, args, report: dict):
     program = linked.source
-    cfg = _config_from(args)
+    scratch = (args.r1, args.r2, args.r3)
+    for n, reg in enumerate(scratch, 1):
+        if not 0 <= reg < args.r:
+            raise CliError("usage", f"argument -r{n}: {reg} is not from 0 to {args.r - 1} (-r)")
+    cfg = DplConfig(bit_f=args.bf, bit_t=args.bt, lut_base=args.la or 0,
+                    compact=args.cl, scratch=scratch)
     if args.la is None:
         cfg = place_tables(program, cfg, args.m)
     transformed, tr = transform(program, cfg)
@@ -325,7 +326,7 @@ def _stage_transform(linked, args, report: dict):
 
 @_stage("verify")
 def _stage_verify(linked, args, report: dict) -> None:
-    br = verify(linked, cfg=_config_from(args))
+    br = verify(linked, cfg=_rails_from(args))
     report["verify"] = json.loads(br.to_json())
     report["verify"]["memo"] = {
         "stepped": br.stepped,
@@ -377,7 +378,7 @@ def _build_equiv_parser() -> argparse.ArgumentParser:
         description="Check that a transformed program computes the same "
                     "outputs as the original over its sensitive inputs.",
     )
-    _add_dpl_flags(ap)
+    _add_rail_flags(ap)
     _add_adapter_flag(ap)
     _add_machine_flags(ap)
     ap.add_argument("-n", type=_COUNT, default=100, metavar="N",
@@ -391,7 +392,7 @@ def _build_equiv_parser() -> argparse.ArgumentParser:
 
 @_stage("equivalence")
 def _equiv(args, report: dict) -> None:
-    cfg = _config_from(args)
+    cfg = _rails_from(args)
     orig = _resolve(_parse_program(args.original, args.a), args)
     trans = _resolve(_parse_program(args.transformed, args.a), args)
     verdict = check(orig, trans, DplStateMap(cfg),
@@ -422,14 +423,12 @@ def _add_target_flags(ap: argparse.ArgumentParser) -> None:
                     help=f"fixed key (default {DEFAULT_LAB_KEY:020x})")
     ap.add_argument("-slot", type=_int_in(0, WORD_BITS), default=0,
                     help="bit line carrying the cipher state, 0 to 7 (default 0)")
-    ap.add_argument("-nibble", type=_NIBBLE, default=0,
-                    help="plaintext/key nibble under attack, 0 to 15 (default 0)")
     ap.add_argument("-window", metavar="SPEC", default=None,
                     help="trace window: full, round, sbox, or LO:HI cycles "
                          "(default full)")
     ap.add_argument("-dpl", action="store_true",
                     help="the program is in dual-rail form; encode its inputs "
-                         "with the rail configuration from -bf/-bt/...")
+                         "on the rails of -bf/-bt")
 
 
 def _build_lab_parser() -> argparse.ArgumentParser:
@@ -447,7 +446,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     tr.add_argument("-n", type=_COUNT, default=1000, help="number of runs (default 1000)")
     _add_model_flags(tr)
     _add_target_flags(tr)
-    _add_dpl_flags(tr)
+    _add_rail_flags(tr)
     _add_machine_flags(tr)
     _add_adapter_flag(tr)
 
@@ -477,9 +476,11 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     sr.add_argument("-attacks", type=_COUNT, default=100,
                     help="independent campaigns per point (default 100)")
     sr.add_argument("-o", metavar="FILE", default=None, help="write the curve as CSV")
+    sr.add_argument("-nibble", type=_NIBBLE, default=0,
+                    help="key nibble under attack, 0 to 15 (default 0)")
     _add_model_flags(sr)
     _add_target_flags(sr)
-    _add_dpl_flags(sr)
+    _add_rail_flags(sr)
     _add_machine_flags(sr)
     _add_adapter_flag(sr)
 
@@ -495,7 +496,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
 
 def _lab_program(args):
     linked = _resolve(_parse_program(args.file, args.a), args)
-    cfg = _config_from(args) if args.dpl else None
+    cfg = _rails_from(args) if args.dpl else None
     key = _parse_key(args.key) if args.key else DEFAULT_LAB_KEY
     model = LeakModel(weights=_parse_weights(args.weights), noise_sigma=args.sigma)
     return linked, cfg, key, model

@@ -34,9 +34,8 @@ PROLOGUE_TAG = "prologue"
 #: the register the prologue zeroes and every precharge copies from
 ZERO_REG = 0
 
-EXPAND = "expand"
-REWRITE_NOT = "rewrite_not"
-KEEP = "keep"
+#: the opcodes transform rewrites, unless tagged ;@public
+_REWRITABLE = frozenset((*LOGICAL_OPS, "not"))
 
 
 class TransformError(ValueError):
@@ -111,6 +110,8 @@ class DplConfig:
                 f"packed index field [{self.pattern_lo},{self.pattern_lo + 2 * self.span})"
                 f" does not fit a {WORD_BITS}-bit index register"
             )
+        if self.lut_base < 0:
+            raise TransformError(f"negative table base {self.lut_base}")
         if self.lut_base & self.field_mask:
             raise TransformError(f"table base {self.lut_base} misaligned for the index field")
         if self.compact and self.pattern_lo == 0:
@@ -191,25 +192,15 @@ def gen_luts(cfg: DplConfig, ops_used) -> list[Instruction]:
     return stores
 
 
-def classify(p: Program) -> tuple[dict[int, str], list[str]]:
-    """Per-instruction transformation action, plus taint warnings.
+def rewritten(p: Program, idx: int) -> bool:
+    """Whether transform rewrites source instruction idx: an and, orr, xor
+    or not that is not tagged ;@public.  Every other instruction is kept."""
+    return p.instructions[idx].opcode in _REWRITABLE and not p.tagged(idx, "public")
 
-    Logical ops expand (or, for not, rewrite) unless tagged ;@public; all
-    other opcodes are kept.  Warnings flag add/mul/branch instructions that
-    read a location tainted by the declared ;@sensitive cells.
-    """
-    actions: dict[int, str] = {}
-    instrs = p.instructions
-    for idx, inst in enumerate(instrs):
-        if p.tagged(idx, "public"):
-            actions[idx] = KEEP
-        elif inst.opcode in LOGICAL_OPS:
-            actions[idx] = EXPAND
-        elif inst.opcode == "not":
-            actions[idx] = REWRITE_NOT
-        else:
-            actions[idx] = KEEP
 
+def taint_warnings(p: Program) -> list[str]:
+    """Add, mul and branch instructions that read a location tainted by the
+    declared ;@sensitive cells, unless tagged ;@public."""
     tainted_regs: set[int] = set()
     tainted_mem: set[int] = set()
     for kind, loc in p.declared_cells("sensitive"):
@@ -225,7 +216,7 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
             return any_mem[0] or bool(tainted_mem)
         return False  # immediate
 
-    writers = [inst for inst in instrs if OPS[inst.opcode].kind in ("unary", "binary")]
+    writers = [inst for inst in p.instructions if OPS[inst.opcode].kind in ("unary", "binary")]
     changed = True
     while changed:
         changed = False
@@ -246,7 +237,7 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
                 changed = True
 
     warnings = []
-    for idx, inst in enumerate(instrs):
+    for idx, inst in enumerate(p.instructions):
         branch = OPS[inst.opcode].kind == "branch"
         if not (branch or inst.opcode in ("add", "mul")):
             continue
@@ -255,13 +246,11 @@ def classify(p: Program) -> tuple[dict[int, str], list[str]]:
         srcs = inst.operands[:2] if branch else inst.operands[1:]
         if any(src_tainted(s) for s in srcs):
             warnings.append(f"instruction {idx}: {inst.opcode} reads sensitive data")
-    return actions, warnings
+    return warnings
 
 
 def _encode_value_operand(op, cfg: DplConfig):
-    if isinstance(op, Immediate):
-        return Immediate(cfg.encode(op.value))
-    return op
+    return Immediate(cfg.encode(op.value)) if isinstance(op, Immediate) else op
 
 
 @lru_cache(maxsize=64)
@@ -327,48 +316,42 @@ def _rewrite_not(inst: Instruction, cfg: DplConfig) -> list[Instruction]:
     ]
 
 
-def _used_registers(p: Program) -> set[int]:
-    regs = set()
+def _used_locations(p: Program) -> tuple[set[int], set[int]]:
+    """The registers and the cells p declares or addresses; an indexed
+    operand may reach every cell from its offset to offset + WORD_MASK,
+    the largest base."""
+    regs, cells = set(), set()
     for inst in p.instructions:
         for op in inst.operands:
             if isinstance(op, Register):
                 regs.add(op.index)
-            elif isinstance(op, MemIndirect):
-                regs.add(op.base.index)
-    return regs
-
-
-def _used_cells(p: Program) -> set[int]:
-    """Cells p declares or addresses; an indexed operand may reach every
-    cell from its offset to offset + WORD_MASK, the largest base."""
-    cells = set()
-    for inst in p.instructions:
-        for op in inst.operands:
-            if isinstance(op, MemDirect):
+            elif isinstance(op, MemDirect):
                 cells.add(op.address)
             elif isinstance(op, MemIndirect):
+                regs.add(op.base.index)
                 cells.update(range(op.offset, op.offset + WORD_MASK + 1))
     for name in ("sensitive", "output"):
         for kind, loc in p.declared_cells(name):
             if kind == "mem":
                 cells.add(loc)
-    return cells
+    return regs, cells
 
 
-def _ops_used(p: Program, actions: dict) -> set[str]:
-    """The logical operators whose tables the expanded instructions read."""
-    return {p.instructions[i].opcode for i, act in actions.items() if act == EXPAND}
+def _ops_used(p: Program) -> set[str]:
+    """The logical operators whose tables the rewritten instructions read."""
+    return {inst.opcode for idx, inst in enumerate(p.instructions)
+            if inst.opcode in LOGICAL_OPS and rewritten(p, idx)}
 
 
 def place_tables(p: Program, cfg: DplConfig, mem_size: int) -> DplConfig:
     """cfg with lut_base at the lowest aligned base whose tables for p fit
     below mem_size and touch no cell p declares or may address
-    (``_used_cells``).  cfg itself when p needs no tables."""
-    stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p, classify(p)[0]))
+    (``_used_locations``).  cfg itself when p needs no tables."""
+    stores = gen_luts(replace(cfg, lut_base=0), _ops_used(p))
     offsets = [s.operands[0].address for s in stores]
     if not offsets:
         return cfg
-    taken = _used_cells(p)
+    taken = _used_locations(p)[1]
     for base in range(mem_size - max(offsets)):
         if not base & cfg.field_mask and taken.isdisjoint([base + o for o in offsets]):
             return replace(cfg, lut_base=base)
@@ -382,17 +365,16 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
     their instruction's expansion; an absolute ``#N`` target moves to the
     first instruction emitted for source instruction N."""
     cfg.validate()
-    actions, warnings = classify(p)
-
-    clash = _used_registers(p) & cfg.reserved
+    regs, cells = _used_locations(p)
+    clash = regs & cfg.reserved
     if clash:
         raise TransformError(f"program already uses reserved register(s) {sorted(clash)}")
 
-    stores = gen_luts(cfg, _ops_used(p, actions))
+    stores = gen_luts(cfg, _ops_used(p))
     lut_bytes = len(stores)
     if lut_bytes:
         reserved_cells = {s.operands[0].address for s in stores}
-        overlap = _used_cells(p) & reserved_cells
+        overlap = cells & reserved_cells
         if overlap:
             raise TransformError(
                 f"tables [{min(reserved_cells)},{max(reserved_cells)}] "
@@ -404,16 +386,12 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
     absolute = []  # kept jumps and branches to a #N target
     expanded = skipped = 0
     for idx, inst in enumerate(p.instructions):
-        act = actions[idx]
-        if act == EXPAND:
-            bodies.append(_expand_macro(inst, cfg))
-            expanded += 1
-        elif act == REWRITE_NOT:
-            bodies.append(_rewrite_not(inst, cfg))
+        if rewritten(p, idx):
+            bodies.append((_rewrite_not if inst.opcode == "not" else _expand_macro)(inst, cfg))
             expanded += 1
         else:
             bodies.append([inst])
-            if inst.opcode in LOGICAL_OPS or inst.opcode == "not":
+            if inst.opcode in _REWRITABLE:
                 skipped += 1
             elif OPS[inst.opcode].kind in ("jump", "branch") and inst.operands[-1].index is not None:
                 absolute.append(idx)
@@ -444,6 +422,6 @@ def transform(p: Program, cfg: DplConfig) -> tuple[Program, TransformReport]:
         skipped_count=skipped,
         lut_bytes=lut_bytes,
         code_growth_ratio=(start[-1] / n_in) if n_in else 1.0,
-        warnings=warnings,
+        warnings=taint_warnings(p),
     )
     return Program(tuple(out_lines)), report

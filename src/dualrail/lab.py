@@ -18,6 +18,7 @@ curve does not depend on that packing either.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -72,10 +73,12 @@ class LeakModel:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise LabError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise LabError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if len(self.weights) != WORD_BITS:
             raise LabError(f"need {WORD_BITS} bit-line weights, got {len(self.weights)}")
+        if not all(map(math.isfinite, self.weights)):
+            raise LabError(f"bit-line weights must be finite, got {self.weights}")
 
 
 @dataclass
@@ -472,8 +475,12 @@ def load_traces(path) -> TraceSet:
                 f"{need} bytes after the header, the file has {have}"
             )
         rows = np.fromfile(fh, dtype=_row_dtype(n_cycles), count=n_runs)
+    traces = rows["t"]
+    # min and max carry a NaN and reach an infinity, without a mask copy
+    if traces.size and not np.isfinite([traces.min(), traces.max()]).all():
+        raise LabError(f"trace file {path} holds a non-finite sample")
     return TraceSet(
-        traces=rows["t"],
+        traces=traces,
         plaintexts=rows["pt"].astype(np.uint64),
         fixed_key=None,
     )

@@ -216,6 +216,24 @@ def test_tables_placed_without_la(capsys, tmp_path):
         assert "error" in rep["transform"]
 
 
+def test_rail_readers_take_no_transform_settings(capsys, gate_file, tmp_path):
+    # -v, equiv and lab -dpl read only the rails of -bf/-bt: the table base
+    # and scratch registers are checked under -d alone, so a 16-register
+    # round trip needs no scratch flags after the transform
+    out = tmp_path / "g16.asm"
+    code, _ = _run(capsys, ["-d", "-r", "16", "-r1", "1", "-r2", "2", "-r3", "3",
+                            "-o", str(out), gate_file])
+    assert code == cli.EXIT_OK
+    for argv in (["-la", "3"], ["-r", "16"], ["-cl", "-r1", "99"]):
+        code, rep = _run(capsys, ["-v", *argv, str(out)])
+        assert (code, rep["verify"]["verdict"]) == (cli.EXIT_OK, "balanced")
+    code, rep = _run(capsys, ["equiv", gate_file, str(out), "-r", "16"])
+    assert code == cli.EXIT_OK and rep["equivalence"]["passed"] is True
+    code, rep = _run(capsys, ["lab", "traces", str(out), "-o", str(tmp_path / "t.bin"),
+                              "-n", "4", "-dpl", "-r", "16"])
+    assert code == cli.EXIT_OK and rep["traces"]["runs"] == 4
+
+
 def test_equiv_detects_mismatch(capsys, gate_file, tmp_path):
     out = tmp_path / "dpl.asm"
     assert cli.main(["-d", "-o", str(out), gate_file]) == cli.EXIT_OK
@@ -386,6 +404,7 @@ def test_events_csv_unwritable(capsys, tmp_path):
 
 _INPUTS = {
     "gate.asm": GATE,
+    "xor.asm": ";@sensitive r4 r5\n;@output r6\nxor r6 r4 r5\n",
     "badloc.asm": ";@sensitive foo\nand @2 @0 @1\n",
     "mem5000.asm": ";@sensitive @5000\nand @2 @0 @1\n",
     "r40.asm": ";@sensitive r40 @100-101\n;@output @102\nand @102 @100 @101\n",
@@ -424,6 +443,13 @@ FAILURES = [
     pytest.param(["lab", "profile", "-n", "0"], "usage", id="lab-profile-no-runs"),
     pytest.param(["lab", "success-rate", "gate.asm", "-grid", "2", "-attacks", "0"], "usage",
                  id="lab-success-rate-no-attacks"),
+    # the table and scratch flags are the pipeline's, and lab traces attacks
+    # no nibble
+    pytest.param(["equiv", "gate.asm", "gate.asm", "-la", "768"], "usage", id="equiv-table-base"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-nibble", "3"], "usage",
+                 id="lab-traces-nibble"),
+    pytest.param(["lab", "success-rate", "gate.asm", "-grid", "2", "-r1", "5"], "usage",
+                 id="lab-success-rate-scratch-register"),
     # inputs that once ended in a traceback
     pytest.param(["-d", "badloc.asm"], "parse", id="bad-directive-location"),
     pytest.param(["-v", "mem5000.asm"], "lint", id="verify-sensitive-cell-out-of-range"),
@@ -431,10 +457,21 @@ FAILURES = [
     pytest.param(["lab", "nicv", "-i", "huge.bin"], "lab", id="trace-header-larger-than-file"),
     pytest.param(["lab", "nicv", "-i", "wide.bin"], "lab", id="nicv-trace-of-16-bit-words"),
     pytest.param(["lab", "cpa", "-i", "wide.bin"], "lab", id="cpa-trace-of-16-bit-words"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-sigma", "nan"], "lab",
+                 id="lab-traces-noise-nan"),
+    pytest.param(["lab", "success-rate", "gate.asm", "-grid", "20", "-attacks", "2",
+                  "-sigma", "inf"], "lab", id="lab-success-rate-noise-infinite"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-weights", "nan,1,1,1,1,1,1,1"],
+                 "lab", id="lab-traces-weight-nan"),
+    pytest.param(["lab", "profile", "-weights", "1,1,1,1,1,1,1,inf"], "lab",
+                 id="lab-profile-weight-infinite"),
+    pytest.param(["lab", "nicv", "-i", "inf.bin"], "lab", id="nicv-trace-of-infinity"),
+    pytest.param(["lab", "cpa", "-i", "inf.bin"], "lab", id="cpa-trace-of-infinity"),
     # one library error per pipeline stage
     pytest.param(["-l", "leadzero.asm"], "parse", id="parse-leading-zero"),
     pytest.param(["-d", "-bf", "-1", "-bt", "-2", "gate.asm"], "transform",
                  id="transform-negative-rails"),
+    pytest.param(["-d", "-la", "-16", "xor.asm"], "transform", id="transform-negative-table-base"),
     pytest.param(["-v", "out5000.asm"], "lint", id="verify-output-cell-out-of-range"),
     pytest.param(["-s", "r40.asm"], "lint", id="simulate-sensitive-register-out-of-range"),
 ]
@@ -450,6 +487,11 @@ def test_failure_is_one_json_report(capsys, tmp_path, monkeypatch, argv, stage):
     # 16-bit words
     (tmp_path / "wide.bin").write_bytes(
         b"DPLT" + struct.pack("<IIII", 1, 2, 1, 16) + struct.pack("<QfQf", 0, 0.0, 1, 0.0)
+    )
+    # two runs of two cycles, the second cycle infinite
+    (tmp_path / "inf.bin").write_bytes(
+        b"DPLT" + struct.pack("<IIII", 1, 2, 2, 8)
+        + struct.pack("<QffQff", 0, 0.0, float("inf"), 1, 1.0, float("inf"))
     )
     monkeypatch.chdir(tmp_path)
     code = cli.main(argv)

@@ -12,6 +12,7 @@ from dualrail.dpl import (
     TransformError,
     gen_luts,
     place_tables,
+    rewritten,
     transform,
 )
 from dualrail.equivalence import DplStateMap, check
@@ -64,6 +65,7 @@ def test_all_layouts_validate():
         dict(bit_f=4, bit_t=0),  # span too wide
         dict(bit_f=0, bit_t=-1),  # rail below the word
         dict(bit_f=1, bit_t=0, lut_base=3),  # misaligned base
+        dict(bit_f=1, bit_t=0, lut_base=-16),  # negative base, aligned
         dict(bit_f=1, bit_t=0, compact=True),  # compact needs lower rail > 0
         dict(bit_f=1, bit_t=0, scratch=(20, 20, 22)),  # dup scratch
         dict(bit_f=8, bit_t=7),  # outside word
@@ -310,6 +312,17 @@ def test_transform_public_gate_kept():
     out, rep = transform(parse("and r6 r4 r5 ;@public\n"), CANON)
     assert rep.expanded_count == 0 and rep.skipped_count == 1
     assert [i.opcode for i in out.instructions if i.opcode == "and"] == ["and"]
+
+
+def test_one_rule_decides_what_is_rewritten():
+    # ;@public keeps an and and a not; a literal not is rewritten and needs
+    # no table.  So only the xor's table is placed, at [32, 48), and base 0
+    # stays clear of @5, which the and's table at [0, 16) would cover
+    p = parse("and r6 r4 r5 ;@public\nnot r7 r4 ;@public\nnot r8 #1\nxor r9 r4 @5\n")
+    assert [rewritten(p, i) for i in range(4)] == [False, False, True, True]
+    _, rep = transform(p, CANON)
+    assert (rep.expanded_count, rep.skipped_count, rep.lut_bytes) == (2, 2, 16)
+    assert place_tables(p, CANON, 1024).lut_base == 0
 
 
 def test_transform_warns_on_tainted_arithmetic():

@@ -57,6 +57,15 @@ def test_leak_model_validation():
     assert DEFAULT_NOISE_SIGMA > 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_leak_model_refuses_non_finite_values(bad):
+    # an infinite noise level once "attacked" with success rate 1.0
+    with pytest.raises(LabError, match="noise_sigma must be finite"):
+        LeakModel(noise_sigma=bad)
+    with pytest.raises(LabError, match="weights must be finite"):
+        LeakModel(weights=(1.0,) * 7 + (bad,))
+
+
 def test_trace_set_validation():
     with pytest.raises(LabError):
         _ts(np.zeros(4), [0, 1, 2, 3])  # 1-D
@@ -464,6 +473,16 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a trace file")
     with pytest.raises(LabError):
+        load_traces(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_refuses_non_finite_samples(tmp_path, bad):
+    traces = np.zeros((3, 4), dtype=np.float32)
+    traces[1, 2] = bad
+    path = tmp_path / "t.bin"
+    save_traces(path, TraceSet(traces, np.arange(3, dtype=np.uint64), fixed_key=None))
+    with pytest.raises(LabError, match="non-finite sample"):
         load_traces(path)
 
 
