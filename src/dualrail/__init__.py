@@ -13,7 +13,7 @@ Modules
 -------
 asm
     Assembly front end: the instruction-set table every interpreter and
-    the verifier run, parser, printer, label resolution, dialect adapters.
+    the verifier run, parser, printer, label resolution, dialects.
 machine
     Concrete reference interpreter with a per-cycle transition event log.
 vector_machine

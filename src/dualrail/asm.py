@@ -14,6 +14,10 @@ Operands:
 
 Branch targets are labels or ``#`` absolute instruction indices.
 
+A dialect (``SyntaxAdapter``, such as ``AVR_LIKE``) is this grammar under
+its own table of opcode names: it parses and prints through the same
+parser and printer as the core language.
+
 The machine model is defined here once: a ``WORD_BITS``-bit word, 1 to
 ``MAX_CELLS`` registers and memory cells (``N_REGS`` and ``MEM_SIZE`` by
 default), bounds that ``resolve`` enforces, and ``MAX_STEPS``, the steps
@@ -308,14 +312,14 @@ def _parse_target(tok: str, line: int, col: int) -> AddressRef:
     raise ParseError(f"bad branch target {tok!r}", line, col)
 
 
-def _parse_instruction(text: str, line: int, col: int) -> Instruction:
-    toks = text.split()
-    opcode, args = toks[0], toks[1:]
+def _parse_instruction(toks: list[str], names: dict[str, str], line: int, col: int) -> Instruction:
+    name, args = toks[0], toks[1:]
+    opcode = names.get(name)
     spec = OPS.get(opcode)
     if spec is None:
-        raise ParseError(f"unknown opcode {opcode!r}", line, col)
+        raise ParseError(f"unknown opcode {name!r}", line, col)
     if len(args) != spec.arity:
-        raise ParseError(f"{opcode} takes {spec.arity} operand(s), got {len(args)}", line, col)
+        raise ParseError(f"{name} takes {spec.arity} operand(s), got {len(args)}", line, col)
     if spec.kind == "jump":
         return Instruction(opcode, (_parse_target(args[0], line, col),))
     if spec.kind == "branch":
@@ -329,8 +333,12 @@ def _parse_instruction(text: str, line: int, col: int) -> Instruction:
         )
     ops = tuple(_parse_operand(a, line, col) for a in args)
     if ops and isinstance(ops[0], Immediate):
-        raise ParseError(f"destination of {opcode} cannot be an immediate", line, col)
+        raise ParseError(f"destination of {name} cannot be an immediate", line, col)
     return Instruction(opcode, ops)
+
+
+#: the core language's opcode names, each its own
+_CORE_NAMES = {op: op for op in OPS}
 
 
 def parse(source: str) -> Program:
@@ -340,32 +348,37 @@ def parse(source: str) -> Program:
     ``;@sensitive``/``;@output`` location, and for duplicate label
     definitions.
     """
+    return _parse(source, _CORE_NAMES)
+
+
+def _parse(source: str, names: dict[str, str]) -> Program:
+    """The grammar of every dialect; `names` maps each opcode name the
+    dialect spells to the core opcode it stands for."""
     lines: list[Line] = []
     seen_labels: set[str] = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = raw
+        text, _, comment = raw.partition(";")
         directive = None
-        if ";" in text:
-            text, comment = text.split(";", 1)
-            comment = comment.strip()
-            if comment.startswith("@"):
-                directive = comment[1:].strip()
-                _check_locations(directive, raw, lineno)
-        text = text.strip()
+        comment = comment.strip()
+        if comment.startswith("@"):
+            directive = comment[1:].strip()
+            _check_locations(directive, raw, lineno)
         label = None
-        if ":" in text:
-            label, text = text.split(":", 1)
-            label = label.strip()
+        start = 0  # where text starts in raw
+        head, colon, rest = text.partition(":")
+        if colon:
+            label = head.strip()
             if not _LABEL_RE.fullmatch(label):
                 raise ParseError(f"bad label {label!r}", lineno)
             if label in seen_labels:
                 raise ParseError(f"duplicate label {label!r}", lineno)
             seen_labels.add(label)
-            text = text.strip()
+            text, start = rest, len(head) + 1
         instruction = None
-        if text:
-            col = raw.index(text.split()[0]) + 1 if text.split()[0] in raw else 1
-            instruction = _parse_instruction(text, lineno, col)
+        toks = text.split()
+        if toks:
+            col = start + len(text) - len(text.lstrip()) + 1
+            instruction = _parse_instruction(toks, names, lineno, col)
         if label is not None or instruction is not None or directive is not None:
             lines.append(Line(label, instruction, directive))
     return Program(tuple(lines))
@@ -384,13 +397,18 @@ def _check_locations(directive: str, raw: str, line: int) -> None:
 
 def print_program(p: Program) -> str:
     """Inverse of parse: parse(print_program(p)) == p."""
+    return _print(p, _CORE_NAMES)
+
+
+def _print(p: Program, names: dict[str, str]) -> str:
+    """The text of p with each core opcode spelled as `names` maps it."""
     out = []
     for ln in p.lines:
         parts = []
         if ln.label is not None:
             parts.append(f"{ln.label}:")
         if ln.instruction is not None:
-            parts.append(str(ln.instruction))
+            parts.append(" ".join([names[ln.instruction.opcode], *map(str, ln.instruction.operands)]))
         if ln.directive is not None:
             parts.append(f";@{ln.directive}")
         out.append(" ".join(parts))
@@ -460,55 +478,27 @@ def resolve(p: Program, *, n_regs: int = N_REGS, mem_size: int = MEM_SIZE) -> Li
 
 
 # ---------------------------------------------------------------------------
-# syntax adapters
+# dialects
 
 @dataclass(frozen=True)
 class SyntaxAdapter:
-    """A pluggable external-dialect front end: text in, Program out, and back."""
+    """An assembly dialect: the core grammar under its own opcode names.
+    ``opcodes`` maps each name the dialect spells to its core opcode."""
 
     name: str
-    parse: callable
-    print: callable
+    opcodes: dict[str, str]
+
+    def parse(self, source: str) -> Program:
+        return _parse(source, self.opcodes)
+
+    def print(self, p: Program) -> str:
+        return _print(p, {op: own for own, op in self.opcodes.items()})
 
 
-_AVR_TO_GENERIC = {
+AVR_LIKE = SyntaxAdapter("avr-like", {
     "mov": "mov", "and": "and", "or": "orr", "eor": "xor", "com": "not",
     "lsl": "lsl", "lsr": "lsr", "add": "add", "mul": "mul",
     "rjmp": "jmp", "breq": "beq", "brne": "bne", "nop": "nop",
-}
-_GENERIC_TO_AVR = {v: k for k, v in _AVR_TO_GENERIC.items()}
-
-
-def _map_opcodes(source: str, table: dict[str, str]) -> str:
-    """Rewrite the opcode token of each line through table, leaving labels,
-    operands and comments untouched."""
-    out = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text, _, comment = raw.partition(";")
-        label = ""
-        if ":" in text:
-            label, _, text = text.partition(":")
-            label += ":"
-        toks = text.split()
-        if toks:
-            if toks[0] not in table:
-                raise ParseError(f"unknown opcode {toks[0]!r}", lineno)
-            toks[0] = table[toks[0]]
-        rebuilt = (label + " " if label else "") + " ".join(toks)
-        if comment:
-            rebuilt += " ;" + comment
-        out.append(rebuilt.strip())
-    return "\n".join(out) + "\n"
-
-
-def _avr_parse(source: str) -> Program:
-    return parse(_map_opcodes(source, _AVR_TO_GENERIC))
-
-
-def _avr_print(p: Program) -> str:
-    return _map_opcodes(print_program(p), _GENERIC_TO_AVR)
-
-
-AVR_LIKE = SyntaxAdapter("avr-like", _avr_parse, _avr_print)
+})
 
 ADAPTERS = {AVR_LIKE.name: AVR_LIKE}

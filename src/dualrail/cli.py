@@ -26,8 +26,12 @@ stage adds ``{"<stage>": {"error": "..."}}`` to the report.  The exit
 code depends only on the stage that failed (``EXIT_CODES``): 0 success,
 1 usage (a bad command line), parse or lint (link) error, 2 transform
 error, 3 verify (not balanced, or it could not run), 4 simulate or lab
-failure, 5 equivalence failure.  ``-h`` prints help and exits 0.  A
-reader that closes stdout before the report is written leaves the exit
+failure, 5 equivalence failure.  A failure belongs to the stage that ran:
+bad rails fail the transform under ``-d`` and are a usage error where
+they only encode inputs.  A flag matches only its exact name, its value
+after a space or ``=``; an abbreviation (``-se``), an attached value
+(``-r1`` where there is no ``-r1`` flag) or joined flags (``-dv``) are a
+usage error.  ``-h`` prints help and exits 0.  A reader that closes stdout before the report is written leaves the exit
 code as it is.
 """
 
@@ -42,8 +46,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .asm import ADAPTERS, MAX_CELLS, MEM_SIZE, N_REGS, WORD_BITS, ParseError, parse, print_program, resolve
-from .dpl import DplConfig, TransformError, place_tables, transform
+from .asm import ADAPTERS, MAX_CELLS, MEM_SIZE, N_REGS, WORD_BITS, parse, print_program, resolve
+from .dpl import DplConfig, place_tables, transform
 from .equivalence import DplStateMap, check
 from .lab import (
     DEFAULT_NOISE_SIGMA,
@@ -107,20 +111,22 @@ class CliError(Exception):
 def _stage(name: str, context: str = ""):
     """Run a block (or, as a decorator, a function) as stage `name`: its
     errors become a CliError of that stage, the message prefixed with
-    `context`.  A ParseError or TransformError fails "parse" or "transform"
-    wherever it is raised."""
+    `context`."""
     try:
         yield
     except _STAGE_ERRORS as exc:
-        stage = {ParseError: "parse", TransformError: "transform"}.get(type(exc), name)
-        raise CliError(stage, f"{context}: {exc}" if context else str(exc)) from exc
+        raise CliError(name, f"{context}: {exc}" if context else str(exc)) from exc
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Command-line errors are a failure of stage "usage"."""
+    """Command-line errors are a failure of stage "usage".  A flag matches
+    only its own name (or NAME=VALUE): no abbreviation, no attached value."""
 
     def error(self, message):
         raise CliError("usage", f"{self.prog}: {message}")
+
+    def _get_option_tuples(self, option_string):
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +186,8 @@ def _add_adapter_flag(ap: argparse.ArgumentParser) -> None:
 def _rails_from(args) -> DplConfig:
     """The rail encoding of -bf/-bt: all that -v, equiv and lab -dpl read."""
     cfg = DplConfig(bit_f=args.bf, bit_t=args.bt)
-    cfg.validate()
+    with _stage("usage", "argument -bf/-bt"):
+        cfg.validate()
     return cfg
 
 
@@ -192,22 +199,6 @@ def _parse_program(path: str, adapter_name):
 
 def _resolve(program, args):
     return resolve(program, n_regs=args.r, mem_size=args.m)
-
-
-def _parse_range(text: str, limit: int, what: str) -> range:
-    """'LO:HI' (HI exclusive) or a single cell index."""
-    try:
-        if ":" in text:
-            lo_s, _, hi_s = text.partition(":")
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = int(text)
-            hi = lo + 1
-    except ValueError:
-        raise ValueError(f"bad {what} range {text!r}: use LO:HI") from None
-    if not (0 <= lo <= hi <= limit):
-        raise ValueError(f"{what} range {text!r} outside [0, {limit})")
-    return range(lo, hi)
 
 
 def _parse_key(text: str) -> int:
@@ -230,14 +221,22 @@ def _parse_weights(text):
         raise ValueError(f"bad weights {text!r}: expected comma-separated floats") from None
 
 
-def _parse_lo_hi(text, choices=""):
-    """Absolute 'LO:HI' bounds, HI exclusive; choices names the other
-    accepted spellings, for the error message."""
+def _parse_lo_hi(text: str, what: str, limit: int | None = None, choices: str = "") -> tuple[int, int]:
+    """'LO:HI' bounds, HI exclusive; choices names the other accepted
+    spellings, for the error message.  With a limit (a dump of cells) a
+    single index N reads as N:N+1, and the range must lie in [0, limit)."""
+    lo_s, colon, hi_s = text.partition(":")
     try:
-        lo_s, _, hi_s = text.partition(":")
-        return (int(lo_s), int(hi_s))
+        lo = int(lo_s)
+        hi = int(hi_s) if colon or limit is None else lo + 1
     except ValueError:
-        raise ValueError(f"bad window {text!r}: use {choices}LO:HI") from None
+        raise ValueError(f"bad {what} {text!r}: use {choices}LO:HI") from None
+    if limit is not None:
+        if hi < lo:
+            raise ValueError(f"{what} {text!r} is reversed: HI is below LO")
+        if lo < 0 or hi > limit:
+            raise ValueError(f"{what} {text!r} outside [0, {limit})")
+    return lo, hi
 
 
 def _parse_window(text, linked):
@@ -246,7 +245,7 @@ def _parse_window(text, linked):
         return None
     label = {"round": LABEL_ROUND, "sbox": LABEL_SBOX}.get(text)
     if label is None:
-        return _parse_lo_hi(text, "full, round, sbox or ")
+        return _parse_lo_hi(text, "window", choices="full, round, sbox or ")
     if label not in linked.source.label_table:
         raise ValueError(f"window {text}: no label {label!r} in program")
     return loop_iteration_window(linked, label)
@@ -259,7 +258,6 @@ def _parse_window(text, linked):
 def _build_pipeline_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="dualrail",
-        allow_abbrev=False,
         description="Dual-rail-with-precharge transformer, balance verifier "
                     "and simulator for bitsliced assembly.",
         epilog="Subcommands: 'dualrail equiv' checks functional equivalence, "
@@ -343,10 +341,10 @@ def _stage_simulate(linked, args, report: dict) -> None:
     final = result.final_state
     sim = {"cycles": final.cycle, "instructions_executed": result.instruction_count}
     if args.M:
-        cells = _parse_range(args.M, args.m, "memory")
+        cells = range(*_parse_lo_hi(args.M, "memory range", args.m))
         sim["memory"] = {str(i): f"0x{final.memory[i]:02x}" for i in cells}
     if args.R:
-        cells = _parse_range(args.R, args.r, "register")
+        cells = range(*_parse_lo_hi(args.R, "register range", args.r))
         sim["registers"] = {str(i): f"0x{final.registers[i]:02x}" for i in cells}
     if args.events_csv:
         with _stage("simulate", f"cannot write {args.events_csv}"):
@@ -374,7 +372,6 @@ def _pipeline(args, report: dict) -> None:
 def _build_equiv_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="dualrail equiv",
-        allow_abbrev=False,
         description="Check that a transformed program computes the same "
                     "outputs as the original over its sensitive inputs.",
     )
@@ -434,13 +431,11 @@ def _add_target_flags(ap: argparse.ArgumentParser) -> None:
 def _build_lab_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="dualrail lab",
-        allow_abbrev=False,
         description="Synthetic side-channel measurement bench.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("traces", allow_abbrev=False,
-                        help="simulate runs and save a trace set")
+    tr = sub.add_parser("traces", help="simulate runs and save a trace set")
     tr.add_argument("file", help="assembly file to trace")
     tr.add_argument("-o", metavar="FILE", required=True, help="output trace file")
     tr.add_argument("-n", type=_COUNT, default=1000, help="number of runs (default 1000)")
@@ -450,16 +445,14 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     _add_machine_flags(tr)
     _add_adapter_flag(tr)
 
-    nv = sub.add_parser("nicv", allow_abbrev=False,
-                        help="normalized interclass variance per cycle")
+    nv = sub.add_parser("nicv", help="normalized interclass variance per cycle")
     nv.add_argument("-i", metavar="FILE", required=True, help="input trace file")
     nv.add_argument("-nibble", type=_NIBBLE, default=0,
                     help="plaintext nibble used as the class label, 0 to 15 (default 0)")
     nv.add_argument("-o", metavar="FILE", default=None,
                     help="write the per-cycle curve as CSV")
 
-    cp = sub.add_parser("cpa", allow_abbrev=False,
-                        help="monobit correlation attack on a saved trace set")
+    cp = sub.add_parser("cpa", help="monobit correlation attack on a saved trace set")
     cp.add_argument("-i", metavar="FILE", required=True, help="input trace file")
     cp.add_argument("-nibble", type=_NIBBLE, default=0,
                     help="key nibble under attack, 0 to 15 (default 0)")
@@ -468,8 +461,7 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     cp.add_argument("-window", metavar="LO:HI", default=None,
                     help="restrict the attack to trace columns LO:HI")
 
-    sr = sub.add_parser("success-rate", allow_abbrev=False,
-                        help="attack success rate as a function of trace count")
+    sr = sub.add_parser("success-rate", help="attack success rate as a function of trace count")
     sr.add_argument("file", help="assembly file to attack")
     sr.add_argument("-grid", metavar="N1,N2,...", required=True,
                     help="trace counts to evaluate")
@@ -484,14 +476,19 @@ def _build_lab_parser() -> argparse.ArgumentParser:
     _add_machine_flags(sr)
     _add_adapter_flag(sr)
 
-    pf = sub.add_parser("profile", allow_abbrev=False,
-                        help="rank bit lines by leakage and recommend a rail pair")
+    pf = sub.add_parser("profile", help="rank bit lines by leakage and recommend a rail pair")
     pf.add_argument("-n", type=_COUNT, default=256,
                     help="runs per bit-line variant (default 256)")
     _add_model_flags(pf)
     pf.add_argument("-o", metavar="FILE", default=None,
                     help="write per-bit scores as CSV")
     return ap
+
+
+def _write_csv(path, header, rows) -> None:
+    with _stage("lab", f"cannot write {path}"), open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(f"{a},{b}\n" for a, b in rows)
 
 
 def _lab_program(args):
@@ -507,7 +504,8 @@ def _lab_traces(args, report: dict) -> None:
     window = _parse_window(args.window, linked)
     ts = synth_traces(linked, key, args.n, model, seed=args.seed,
                       window=window, cfg=cfg, slot=args.slot)
-    save_traces(args.o, ts)
+    with _stage("lab", f"cannot write {args.o}"):
+        save_traces(args.o, ts)
     report["traces"] = {
         "output": args.o,
         "runs": ts.n_runs,
@@ -527,16 +525,13 @@ def _lab_nicv(args, report: dict) -> None:
         "argmax_cycle": peak + ts.cycle_offset,
     }
     if args.o:
-        with open(args.o, "w") as fh:
-            fh.write("cycle,nicv\n")
-            for i, v in enumerate(curve):
-                fh.write(f"{i + ts.cycle_offset},{float(v)}\n")
+        _write_csv(args.o, "cycle,nicv", ((i + ts.cycle_offset, float(v)) for i, v in enumerate(curve)))
         report["nicv"]["output"] = args.o
 
 
 def _lab_cpa(args, report: dict) -> None:
     ts = load_traces(args.i)
-    window = _parse_lo_hi(args.window) if args.window else None
+    window = _parse_lo_hi(args.window, "window") if args.window else None
     true_key = _parse_key(args.key) if args.key else None
     res = cpa_monobit(ts, target=args.nibble, window=window, true_key=true_key)
     out = {
@@ -564,7 +559,8 @@ def _lab_success_rate(args, report: dict) -> None:
                          slot=args.slot)
     report["success_rate"] = {"curve": [[n, r] for n, r in curve]}
     if args.o:
-        write_curve_csv(args.o, curve)
+        with _stage("lab", f"cannot write {args.o}"):
+            write_curve_csv(args.o, curve)
         report["success_rate"]["output"] = args.o
 
 
@@ -579,10 +575,7 @@ def _lab_profile(args, report: dict) -> None:
         "recommended_rails": {"bf": bf, "bt": bt},
     }
     if args.o:
-        with open(args.o, "w") as fh:
-            fh.write("bit,score\n")
-            for i, s in enumerate(prof.scores):
-                fh.write(f"{i},{float(s)}\n")
+        _write_csv(args.o, "bit,score", ((i, float(s)) for i, s in enumerate(prof.scores)))
         report["profile"]["output"] = args.o
 
 

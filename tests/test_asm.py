@@ -1,6 +1,8 @@
 """Front-end tests: parsing, printing, label resolution, dialect adapters."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +211,29 @@ def test_avr_adapter_round_trip():
 
 def test_adapter_registry():
     assert "avr-like" in ADAPTERS
+
+
+def test_dialect_error_reports_its_column_in_the_source():
+    # a core opcode is not a name of the dialect
+    with pytest.raises(ParseError, match=r"^line 2, col 7: unknown opcode 'xor'$"):
+        AVR_LIKE.parse("nop\nlbl:  xor r1 r2 r3\n")
+    with pytest.raises(ParseError, match=r"^line 1, col 9: eor takes 3 operand\(s\), got 2$"):
+        AVR_LIKE.parse("eor: \t  eor r1 r2 ; eor\n")
+
+
+#: sha256 of AVR_LIKE.print of each corpus file
+AVR_CORPUS_SHA256 = {
+    "present80.asm": "69442a14c1b857a5bc7efbb798bc2c2e12f0fbd3318e0b611e9c45b153a70ffb",
+    "present80_dpl.asm": "1190100f2e58773d001e261763f65be67f366eda2eb049cdcab94d9b081cc35b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AVR_CORPUS_SHA256))
+def test_avr_print_of_the_corpus_pinned(name):
+    generic = parse((Path(__file__).resolve().parents[1] / "corpus" / name).read_text())
+    text = AVR_LIKE.print(generic)
+    assert hashlib.sha256(text.encode()).hexdigest() == AVR_CORPUS_SHA256[name]
+    assert print_program(AVR_LIKE.parse(text)) == print_program(generic)
 
 
 _OPC3 = st.sampled_from(sorted(op for op, spec in OPS.items() if spec.kind == "binary"))

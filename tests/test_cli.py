@@ -400,6 +400,52 @@ def test_events_csv_unwritable(capsys, tmp_path):
     assert "cannot write" in rep["simulate"]["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["lab", "nicv", "-i", "t.bin", "-o", "missing/out.csv"],
+    ["lab", "profile", "-n", "4", "-o", "missing/out.csv"],
+    ["lab", "traces", "gate.asm", "-n", "4", "-o", "missing/out.csv"],
+    ["lab", "success-rate", "gate.asm", "-grid", "2", "-attacks", "1", "-o", "missing/out.csv"],
+], ids=["nicv", "profile", "traces", "success-rate"])
+def test_lab_output_unwritable(capsys, tmp_path, monkeypatch, argv):
+    _trace_file(tmp_path)
+    (tmp_path / "gate.asm").write_text(GATE)
+    monkeypatch.chdir(tmp_path)
+    code, rep = _run(capsys, argv)
+    assert code == cli.EXIT_SIMULATE
+    assert rep["lab"]["error"].startswith("cannot write missing/out.csv: [Errno 2]")
+
+
+def test_simulate_dump_range_reversed(capsys, tmp_path):
+    p = tmp_path / "prog.asm"
+    p.write_text("mov r1 #5\n")
+    code, rep = _run(capsys, ["-s", "-M", "5:3", str(p)])
+    assert code == cli.EXIT_SIMULATE
+    assert rep["simulate"]["error"] == "memory range '5:3' is reversed: HI is below LO"
+
+
+# a flag matches only its own name, so the error names what it refused;
+# rails that only encode inputs are a command-line setting
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["equiv", "gate.asm", "gate.asm", "-r1"],
+                 "dualrail equiv: unrecognized arguments: -r1", id="attached-value"),
+    pytest.param(["equiv", "gate.asm", "gate.asm", "-se", "3"],
+                 "dualrail equiv: unrecognized arguments: -se 3", id="abbreviation"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-nibble", "3"],
+                 "dualrail lab: unrecognized arguments: -nibble 3", id="flag-of-another-command"),
+    pytest.param(["-dv", "gate.asm"], "dualrail: unrecognized arguments: -dv", id="combined-flags"),
+    pytest.param(["-s", "--events", "e.csv", "gate.asm"], "dualrail: unrecognized arguments: --events",
+                 id="long-abbreviation"),
+    pytest.param(["-v", "-bf", "6", "-bt", "7", "gate.asm"],
+                 "argument -bf/-bt: packed index field", id="verify-rails"),
+])
+def test_usage_error_names_the_token(capsys, tmp_path, monkeypatch, argv, message):
+    (tmp_path / "gate.asm").write_text(GATE)
+    monkeypatch.chdir(tmp_path)
+    code, rep = _run(capsys, argv)
+    assert code == cli.EXIT_PARSE
+    assert rep["usage"]["error"].startswith(message)
+
+
 # -- one failure table: every bad input is one JSON report and its code -----
 
 _INPUTS = {
@@ -450,6 +496,12 @@ FAILURES = [
                  id="lab-traces-nibble"),
     pytest.param(["lab", "success-rate", "gate.asm", "-grid", "2", "-r1", "5"], "usage",
                  id="lab-success-rate-scratch-register"),
+    # rails that only encode inputs are a command-line setting
+    pytest.param(["-v", "-bf", "6", "-bt", "7", "xor.asm"], "usage", id="verify-rails-inadmissible"),
+    pytest.param(["equiv", "-bf", "6", "-bt", "7", "gate.asm", "gate.asm"], "usage",
+                 id="equiv-rails-inadmissible"),
+    pytest.param(["lab", "traces", "gate.asm", "-o", "t.bin", "-dpl", "-bf", "6", "-bt", "7"], "usage",
+                 id="lab-traces-rails-inadmissible"),
     # inputs that once ended in a traceback
     pytest.param(["-d", "badloc.asm"], "parse", id="bad-directive-location"),
     pytest.param(["-v", "mem5000.asm"], "lint", id="verify-sensitive-cell-out-of-range"),
